@@ -16,9 +16,9 @@
 //! * **replay + shared products** — the same core consuming every
 //!   precomputed trace-pure product (decode table, branch/I-cache
 //!   oracles, the dependence graph wiring dispatch straight to producer
-//!   window entries, and the decode-stage DVI event stream). This is the
-//!   per-member steady state of a batched sweep, measured serially; the
-//!   one-off precompute cost (`depgraph_build_seconds`,
+//!   window entries, and the decode-stage DVI event stream) through
+//!   `SimSession::with_shared_tables`, measured serially; the one-off
+//!   precompute cost (`depgraph_build_seconds`,
 //!   `shared_precompute_seconds`) is reported separately like capture.
 //!
 //! All four produce bit-identical `SimStats` (`tests/replay_equiv.rs`,
@@ -29,21 +29,20 @@
 //! A separate **sweep** section compares three ways of running a whole
 //! configuration grid over the captured traces: the serial capture/replay
 //! loop (one `Simulator::run` per grid point), one co-scheduled
-//! `SweepRunner` pass per trace (shared decode table + branch oracle; see
-//! `dvi_sim::batch`), and the thread-parallel runner
-//! (`SweepRunner::run_parallel`, recorded as `sweep.parallel_vs_serial` —
-//! parity on a single-core container, where it degenerates to the serial
-//! schedule). The comparison first asserts all three produce bit-identical
-//! `SimStats`, so the CI bench-smoke job also acts as a batching and
-//! parallelism regression test. The sweep section also A/Bs the shared
-//! D-cache oracle (`sweep.dcache_oracle_vs_live`) and records the
-//! qualification measurement behind it (`dcache.qualification_rate`: the
-//! fraction of shareable-group members that reproduce their group
-//! leader's issue-order data-access stream, i.e. the members the oracle
-//! can serve without a divergence retry). A **backend** section records the SoA
-//! core's all-products serial cost against the PR-4 AoS back end
-//! (`backend.soa_vs_pr4`; the PR-4 side is a pinned same-container
-//! measurement, overridable via `BENCH_PR4_NS_PER_INSTR`).
+//! `SweepRunner` pass per trace (see `dvi_sim::batch`), and the
+//! thread-parallel runner (`SweepRunner::run_parallel`, recorded as
+//! `sweep.parallel_vs_serial`). The comparison first asserts all three
+//! produce bit-identical `SimStats`, so the CI bench-smoke job also acts
+//! as a batching and parallelism regression test.
+//!
+//! A **plain_vs_products** row repeats, in one run, the A/B behind running
+//! every sweep member on plain replay: the Figure 5 grid (every preset,
+//! every register-file size, three DVI schemes) as plain sessions versus
+//! sessions fed every trace-pure product the earlier runner built per
+//! sweep (decode table, branch/I-cache oracles, dependence graph, one DVI
+//! oracle per DVI scheme, fusion tables), product builds included.
+//! Interleaved repetitions, min/median/max per side, bit-identity asserted
+//! first; a ratio above 1 means plain replay was faster.
 //!
 //! A **matrix** section times the whole-matrix (trace × config) runner
 //! (`dvi_sim::MatrixRunner`) against the per-figure loop it replaced —
@@ -103,41 +102,6 @@ fn reps() -> usize {
     } else {
         5
     }
-}
-
-/// The PR-4 back end's all-products serial cost on the reference
-/// container, in ns/instr: the AoS `InFlight`-ring core, measured at the
-/// PR-4 checkout on this machine in the same session the SoA refactor
-/// landed (frontend_ablation `sim+replay+shared`, fig10 mix, full DVI,
-/// 60k instrs/benchmark; six alternating PR-4/PR-5 binary runs,
-/// min-of-all — the same interleaving discipline the in-run comparisons
-/// use, at process granularity).
-const PR4_ALL_PRODUCTS_NS_PER_INSTR: f64 = 72.2;
-
-/// The SoA core's cost in the same alternating A/B (min-of-all): the
-/// authoritative `soa_vs_pr4` numerator. A *pinned pair* is the only
-/// honest way to compare across commits on this container — its host
-/// speed drifts ±20–30% between runs minutes apart, so dividing a
-/// pinned PR-4 number by the current run's measurement would mostly
-/// measure the weather. The JSON still records the current run's
-/// `soa_ns_per_instr` next to the pinned pair so drift stays visible;
-/// after any back-end change, re-run the alternating A/B (build the old
-/// checkout's `frontend_ablation` in a worktree, alternate the two
-/// binaries, take mins) and refresh both constants, or override with
-/// `BENCH_PR4_NS_PER_INSTR` / `BENCH_SOA_NS_PER_INSTR`.
-const SOA_ALL_PRODUCTS_NS_PER_INSTR: f64 = 73.4;
-
-/// An A/B-side cost (ns/instr), env-overridable after re-measurement.
-fn ab_ns_per_instr(var: &str, default: f64) -> f64 {
-    std::env::var(var).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// The pinned alternating-A/B pair: (PR-4 ns/instr, SoA ns/instr).
-fn ab_reference() -> (f64, f64) {
-    (
-        ab_ns_per_instr("BENCH_PR4_NS_PER_INSTR", PR4_ALL_PRODUCTS_NS_PER_INSTR),
-        ab_ns_per_instr("BENCH_SOA_NS_PER_INSTR", SOA_ALL_PRODUCTS_NS_PER_INSTR),
-    )
 }
 
 /// Builds the E-DVI binaries of the Figure 10 save/restore suite.
@@ -249,8 +213,7 @@ impl Mix {
                 depgraph: trace.depgraph().cloned(),
                 dvi: Some(Arc::new(DviOracle::record(trace, reference.dvi))),
                 // The replay_shared measurement keeps the trace-order
-                // products only; the issue-order D-cache oracle has its
-                // own A/B (`dcache_oracle_vs_live_ratio`).
+                // products only.
                 dcache: None,
                 // The headline replay_shared stays on the slow dispatch
                 // loop; dispatch-group fusion has its own interleaved A/B
@@ -414,8 +377,7 @@ fn verify_shared_equivalence(mix: &Mix, machines: &[(&'static str, SimConfig)]) 
 
 /// The 8-configuration sweep grid of the batched-vs-serial comparison: the
 /// register-file axis of the paper's Figure 5 on the 4-wide machine with
-/// full DVI. Every member shares the Figure 2 predictor, so the batched
-/// runner shares one branch oracle across all eight.
+/// full DVI.
 fn sweep_grid() -> Vec<SimConfig> {
     [34usize, 40, 48, 56, 64, 72, 80, 96]
         .into_iter()
@@ -467,26 +429,6 @@ fn run_sweep_parallel(mix: &Mix, grid: &[SimConfig]) -> u64 {
         .sum()
 }
 
-/// The batched runner with the shared D-cache oracle enabled: one
-/// recording run per geometry group (the whole grid is one group), then
-/// replayed L1D outcomes for every member that reproduces the recording
-/// stream — members that diverge fall back to a live retry, and that cost
-/// is exactly what this measurement is honest about. Returns total
-/// simulated instructions.
-fn run_sweep_batch_dcache(mix: &Mix, grid: &[SimConfig]) -> u64 {
-    mix.traces
-        .iter()
-        .map(|trace| {
-            SweepRunner::new(trace, grid.iter().cloned())
-                .with_dcache_oracle()
-                .run()
-                .iter()
-                .map(|s| s.program_instrs)
-                .sum::<u64>()
-        })
-        .sum()
-}
-
 /// Asserts the batched and parallel runners reproduce the serial
 /// statistics bit for bit on the bench's own grid and traces (the
 /// bench-smoke CI job runs this in quick mode, so a batching or
@@ -503,49 +445,133 @@ fn verify_sweep_equivalence(mix: &Mix, grid: &[SimConfig]) {
         assert_eq!(parallel, serial, "parallel sweep diverged from serial replays");
         let pinned = SweepRunner::new(trace, grid.iter().cloned()).run_parallel_threads(2);
         assert_eq!(pinned, serial, "2-thread sweep diverged from serial replays");
-        let oracled = SweepRunner::new(trace, grid.iter().cloned()).with_dcache_oracle().run();
-        assert_eq!(oracled, serial, "D-cache-oracle sweep diverged from serial replays");
     }
 }
 
-/// Interleaved A/B of the batched runner with and without the D-cache
-/// oracle, as a throughput ratio (>1: the oracle run was faster). The
-/// oracle pays one extra recording run per geometry group and a live
-/// retry per diverging member, so on a grid whose members perturb issue
-/// order this can come out *below* 1 — which is the honest number, and
-/// `dcache.qualification_rate` right next to it says why.
-fn dcache_oracle_vs_live_ratio(mix: &Mix, grid: &[SimConfig]) -> f64 {
-    let mut best = [f64::MAX; 2];
-    for _ in 0..reps() {
-        let start = Instant::now();
-        let live = run_sweep_batch(mix, grid);
-        best[0] = best[0].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let oracled = run_sweep_batch_dcache(mix, grid);
-        best[1] = best[1].min(start.elapsed().as_secs_f64());
-        assert_eq!(live, oracled, "both sides must simulate the same instructions");
-    }
-    best[0] / best[1]
+/// The `plain_vs_products` row (see `plain_vs_products`): seconds per
+/// side and the plain-over-products ratio per interleaved pair, each as
+/// `[min, median, max]`.
+struct PlainVsProducts {
+    members: usize,
+    plain_seconds: [f64; 3],
+    products_seconds: [f64; 3],
+    ratio: [f64; 3],
 }
 
-/// The qualification rate behind the oracle's effectiveness on this grid:
-/// across the mix's traces, the fraction of shareable-group members whose
-/// instrumented D-cache access stream matches their group leader's
-/// (`SweepRunner::measure_dcache_qualification`) — exactly the members the
-/// oracle serves without a divergence retry.
-fn dcache_qualification_rate(mix: &Mix, grid: &[SimConfig]) -> f64 {
-    let (mut matching, mut members) = (0usize, 0usize);
-    for trace in &mix.traces {
-        let measured = SweepRunner::new(trace, grid.iter().cloned()).measure_dcache_qualification();
-        for group in measured.groups.iter().filter(|g| g.members >= 2) {
-            matching += group.matching;
-            members += group.members;
+/// `[min, median, max]` of `samples`.
+fn spread(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    [samples[0], samples[samples.len() / 2], samples[samples.len() - 1]]
+}
+
+/// Every trace-pure product a session of `config` can consume over
+/// `trace`, as the earlier sweep runner shared them across a grid: one
+/// decode table, branch and I-cache oracle and dependence graph per
+/// trace, one DVI oracle per DVI scheme and one fusion table per decode
+/// width. Builds are memoized in `built` so each runs once per trace.
+fn grid_products(
+    trace: &CapturedTrace,
+    config: &SimConfig,
+    built: &mut Vec<(DviConfig, SharedTables)>,
+) -> SharedTables {
+    if let Some((_, tables)) = built.iter().find(|(dvi, _)| *dvi == config.dvi) {
+        return tables.clone();
+    }
+    let tables = match built.first() {
+        Some((_, first)) => SharedTables {
+            dvi: Some(Arc::new(DviOracle::record(trace, config.dvi))),
+            ..first.clone()
+        },
+        None => {
+            let graph = Arc::new(dvi_program::DepGraph::build(trace));
+            SharedTables {
+                decode: Some(Arc::new(StaticDecodeTable::for_trace(trace))),
+                branches: Some(Arc::new(BranchOracle::record(trace, config.predictor))),
+                icache: Some(Arc::new(IcacheOracle::record(trace, config.icache))),
+                dvi: Some(Arc::new(DviOracle::record(trace, config.dvi))),
+                dcache: None,
+                fusion: Some(dvi_program::FusionTable::build_shared(
+                    trace,
+                    &graph,
+                    config.decode_width,
+                )),
+                depgraph: Some(graph),
+            }
         }
-    }
-    if members == 0 {
-        1.0
+    };
+    built.push((config.dvi, tables.clone()));
+    tables
+}
+
+/// The same-run A/B behind running every sweep member on plain replay:
+/// the Figure 5 grid — every preset, every register-file size, the
+/// baseline trace under no DVI and I-DVI and the annotated trace under
+/// E+I-DVI — run serially as plain sessions and as sessions fed every
+/// product `grid_products` builds (builds timed in, as the earlier runner
+/// paid them per sweep). Quick mode uses the quick instruction budget.
+/// Bit-identity of the two sides is asserted before anything is timed.
+fn plain_vs_products() -> PlainVsProducts {
+    let budget = if quick_mode() {
+        dvi_experiments::Budget::quick()
     } else {
-        matching as f64 / members as f64
+        dvi_experiments::Budget::full()
+    };
+    let binaries: Vec<dvi_experiments::CapturedBinaries> = dvi_workloads::presets::all()
+        .iter()
+        .map(|spec| dvi_experiments::CapturedBinaries::build(spec, budget))
+        .collect();
+    let sizes = dvi_experiments::fig05::default_sizes();
+    let mut cells: Vec<(&CapturedTrace, Vec<SimConfig>)> = Vec::new();
+    for b in &binaries {
+        let at = |n: usize, dvi: DviConfig| SimConfig::micro97().with_phys_regs(n).with_dvi(dvi);
+        cells.push((
+            &b.baseline,
+            sizes
+                .iter()
+                .flat_map(|&n| [at(n, DviConfig::none()), at(n, DviConfig::idvi_only())])
+                .collect(),
+        ));
+        cells.push((&b.edvi, sizes.iter().map(|&n| at(n, DviConfig::full())).collect()));
+    }
+    let plain = || -> Vec<SimStats> {
+        cells
+            .iter()
+            .flat_map(|(trace, grid)| {
+                grid.iter().map(|c| SimSession::new(c.clone(), trace.cursor()).run_to_completion())
+            })
+            .collect()
+    };
+    let products = || -> Vec<SimStats> {
+        cells
+            .iter()
+            .flat_map(|(trace, grid)| {
+                let mut built = Vec::new();
+                grid.iter()
+                    .map(|c| {
+                        let tables = grid_products(trace, c, &mut built);
+                        SimSession::with_shared_tables(c.clone(), trace.cursor(), tables)
+                            .run_to_completion()
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    };
+    assert_eq!(plain(), products(), "the products side diverged from plain replay");
+    let (mut plain_s, mut products_s, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..reps().max(3) {
+        let start = Instant::now();
+        std::hint::black_box(plain());
+        plain_s.push(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        std::hint::black_box(products());
+        products_s.push(start.elapsed().as_secs_f64());
+        ratio.push(products_s[products_s.len() - 1] / plain_s[plain_s.len() - 1]);
+    }
+    PlainVsProducts {
+        members: cells.iter().map(|(_, grid)| grid.len()).sum(),
+        plain_seconds: spread(plain_s),
+        products_seconds: spread(products_s),
+        ratio: spread(ratio),
     }
 }
 
@@ -595,9 +621,8 @@ fn checkpoint_overhead_ratio() -> f64 {
         .program
         .layout()
         .expect("binary lays out");
-    let mut trace = CapturedTrace::record(&layout, FOUR_TURNS);
+    let trace = CapturedTrace::record(&layout, FOUR_TURNS);
     assert_eq!(trace.len() as u64, FOUR_TURNS, "the checkpoint A/B needs full scheduling turns");
-    trace.build_depgraph();
     let grid = [
         SimConfig::micro97(),
         SimConfig::micro97().with_dvi(DviConfig::full()),
@@ -883,14 +908,10 @@ struct SweepResult {
     /// writes happen once per member completion; see
     /// `checkpoint_overhead_ratio`).
     checkpoint_overhead: f64,
-    /// Throughput of the D-cache-oracle batched run relative to the plain
-    /// batched run (see `dcache_oracle_vs_live_ratio`).
-    dcache_oracle_vs_live: f64,
-    /// Fraction of shareable-group members whose access stream matches
-    /// their group leader's (see `dcache_qualification_rate`).
-    dcache_qualification: f64,
     /// One save -> load round trip of every trace in the mix, seconds.
     save_load_seconds: f64,
+    /// The plain-replay vs all-products A/B (see `plain_vs_products`).
+    plain_vs_products: PlainVsProducts,
 }
 
 /// Writes the headline numbers as a JSON artifact for CI history.
@@ -903,6 +924,7 @@ fn write_json(
     fusion_vs_live: f64,
     fused_coverage: f64,
 ) -> std::io::Result<()> {
+    let plain_vs_products = &sweep.plain_vs_products;
     let path =
         std::env::var("BENCH_JSON_PATH").unwrap_or_else(|_| "BENCH_sim_throughput.json".to_owned());
     let mut f = std::fs::File::create(&path)?;
@@ -934,34 +956,29 @@ fn write_json(
         )?;
     }
     writeln!(f, "  ],")?;
-    // The SoA back end against the PR-4 AoS back end, both on the
-    // all-products serial path (the sweep steady state). The ratio comes
-    // from the pinned alternating-binary A/B (see `ab_reference` for the
-    // methodology and why a cross-run division would be dishonest on
-    // this host); this run's own measurement is recorded next to it so
-    // drift against the pinned pair stays visible.
-    let narrow_shared = results.first().expect("the narrow machine is measured first");
-    let this_run_soa_ns = 1.0e3 / narrow_shared.replay_shared;
-    let (pr4_ns, soa_ns) = ab_reference();
     writeln!(
         f,
-        "  \"backend\": {{\"soa_ns_per_instr\": {this_run_soa_ns:.2}, \
-         \"ab_soa_ns_per_instr\": {soa_ns:.2}, \"ab_pr4_ns_per_instr\": {pr4_ns:.2}, \
-         \"soa_vs_pr4\": {:.3}, \"fusion_vs_live\": {fusion_vs_live:.3}, \
-         \"method\": \"pinned alternating-binary A/B (see bench docs)\"}},",
-        pr4_ns / soa_ns,
-    )?;
-    writeln!(
-        f,
-        "  \"fusion\": {{\"table_build_seconds\": {:.4}, \"fused_coverage\": {fused_coverage:.3}}},",
+        "  \"fusion\": {{\"table_build_seconds\": {:.4}, \"fused_coverage\": {fused_coverage:.3}, \
+         \"fusion_vs_live\": {fusion_vs_live:.3}}},",
         mix.fusion_seconds
+    )?;
+    let json_spread = |v: &[f64; 3]| {
+        format!("{{\"min\": {:.4}, \"median\": {:.4}, \"max\": {:.4}}}", v[0], v[1], v[2])
+    };
+    writeln!(
+        f,
+        "  \"plain_vs_products\": {{\"members\": {}, \"plain_seconds\": {}, \
+         \"products_seconds\": {}, \"ratio\": {}}},",
+        plain_vs_products.members,
+        json_spread(&plain_vs_products.plain_seconds),
+        json_spread(&plain_vs_products.products_seconds),
+        json_spread(&plain_vs_products.ratio),
     )?;
     writeln!(
         f,
         "  \"sweep\": {{\"configs\": {}, \"serial_mips\": {:.3}, \"batch_mips\": {:.3}, \
          \"batch_vs_serial\": {:.3}, \"parallel_mips\": {:.3}, \"parallel_vs_serial\": {:.3}, \
-         \"parallel_threads\": {}, \"checkpoint_overhead\": {:.3}, \
-         \"dcache_oracle_vs_live\": {:.3}}},",
+         \"parallel_threads\": {}, \"checkpoint_overhead\": {:.3}}},",
         sweep.configs,
         sweep.serial_mips,
         sweep.batch_mips,
@@ -970,9 +987,7 @@ fn write_json(
         sweep.parallel_mips / sweep.serial_mips,
         sweep.threads,
         sweep.checkpoint_overhead,
-        sweep.dcache_oracle_vs_live,
     )?;
-    writeln!(f, "  \"dcache\": {{\"qualification_rate\": {:.3}}},", sweep.dcache_qualification,)?;
     writeln!(
         f,
         "  \"matrix\": {{\"vs_per_figure\": {:.3}, \"per_figure_seconds\": {:.4}, \
@@ -1066,8 +1081,7 @@ fn bench(c: &mut Criterion) {
     let (fusion_vs_live, fused_coverage) = fusion_vs_live_ratio(&mix, &machines[0].1);
     let (serial_mips, batch_mips, parallel_mips) = sweep_mips(&mix, &grid);
     let checkpoint_overhead = checkpoint_overhead_ratio();
-    let dcache_oracle_vs_live = dcache_oracle_vs_live_ratio(&mix, &grid);
-    let dcache_qualification = dcache_qualification_rate(&mix, &grid);
+    let plain_vs_products = plain_vs_products();
     let save_load_seconds = artifact_save_load_seconds(&mix);
     let matrix = matrix_measurements(&mix, &grid);
     let service = service_measurements(&mix);
@@ -1079,9 +1093,8 @@ fn bench(c: &mut Criterion) {
         parallel_mips,
         threads,
         checkpoint_overhead,
-        dcache_oracle_vs_live,
-        dcache_qualification,
         save_load_seconds,
+        plain_vs_products,
     };
     println!(
         "sim_throughput/sweep/serial   ({} configs): {serial_mips:.2} simulated-MIPS",
@@ -1105,14 +1118,16 @@ fn bench(c: &mut Criterion) {
         "sim_throughput/sweep/checkpoint_overhead:  {checkpoint_overhead:.3}x (max-cadence \
          durable snapshots — one atomic write per member completion — vs none)"
     );
+    let ab = &sweep.plain_vs_products;
     println!(
-        "sim_throughput/sweep/dcache_oracle:        {dcache_oracle_vs_live:.3}x vs plain batched \
-         (one recording run per geometry group, live retry per diverging member)"
-    );
-    println!(
-        "sim_throughput/dcache/qualification_rate:  {:.1}% of shareable-group members reproduce \
-         their group leader's access stream",
-        100.0 * dcache_qualification
+        "sim_throughput/plain_vs_products:         {:.3}x median ({:.3}..{:.3}) plain replay vs \
+         all products over the Figure 5 grid ({} members; plain {:.3}s, products {:.3}s median)",
+        ab.ratio[1],
+        ab.ratio[0],
+        ab.ratio[2],
+        ab.members,
+        ab.plain_seconds[1],
+        ab.products_seconds[1],
     );
     println!(
         "sim_throughput/artifact/save_load:         {save_load_seconds:.4}s for one save -> load \
@@ -1145,14 +1160,6 @@ fn bench(c: &mut Criterion) {
         "sim_throughput/service/memo_hit_vs_miss:    {:.1}x — the identical resubmission is \
          served from the content-addressed cache with zero members simulated ({:.4}s)",
         service.memo_hit_vs_miss, service.hit_seconds,
-    );
-    let this_run_soa_ns = 1.0e3 / results[0].replay_shared;
-    let (pr4_ns, soa_ns) = ab_reference();
-    println!(
-        "sim_throughput/backend: SoA vs PR-4 all-products = {:.2}x (pinned alternating A/B: \
-         {soa_ns:.1} vs {pr4_ns:.1} ns/instr; this run measured {this_run_soa_ns:.1} — drift \
-         against the pin is host noise, re-run the A/B before reading anything into it)",
-        pr4_ns / soa_ns,
     );
     println!(
         "sim_throughput/backend/fusion_vs_live:     {fusion_vs_live:.3}x serial all-products \
@@ -1206,9 +1213,6 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("sweep_parallel_8cfg", |b| {
         b.iter(|| run_sweep_parallel(&mix, &grid));
-    });
-    g.bench_function("sweep_batch_dcache_8cfg", |b| {
-        b.iter(|| run_sweep_batch_dcache(&mix, &grid));
     });
     g.finish();
 }

@@ -1,6 +1,6 @@
 //! Front-end cost ablation: how much host time does each trace source
-//! cost, in isolation and end-to-end — and how much of the remaining
-//! per-member back end do the precomputed trace-pure products remove?
+//! cost, in isolation and end-to-end — and what do the opt-in trace-pure
+//! products change about the per-member back end?
 //!
 //! Measures, on the Figure 10 mix (min-of-5 wall clock):
 //!
@@ -10,10 +10,11 @@
 //! * driving the mix's memory references through a standalone
 //!   [`dvi_mem::MemoryHierarchy`] in trace order — an isolated lower
 //!   bound on the D-cache model's share of the back end,
-//! * the full event-driven simulator fed by replay,
+//! * the full event-driven simulator fed by replay — the per-member
+//!   steady state of every sweep, matrix and service run,
 //! * the same simulator consuming every precomputed trace-pure product
 //!   (decode table, branch/I-cache oracles, dependence graph, DVI event
-//!   stream) — the per-member steady state of a batched sweep,
+//!   stream) through `SimSession::with_shared_tables`,
 //! * the same shared-products simulator with a [`dvi_mem::PerfectDcache`]
 //!   swapped in through the [`dvi_mem::DataMemModel`] seam (**a
 //!   different modelled machine** — printed for the host-cost contrast
@@ -21,12 +22,12 @@
 //! * the full event-driven simulator fed by live interpretation.
 //!
 //! The replay-vs-interp difference is the end-to-end value of
-//! capture-once/replay-many; the shared-vs-replay difference is the
-//! back-end shrink the dependence-graph layer buys per member; and the
-//! final **back-end decomposition** line splits the shared-products
-//! steady state into trace production, the isolated D-cache model drive
-//! and the residual window/scheduler/rename core — the decomposition the
-//! ROADMAP's honest-performance tables quote.
+//! capture-once/replay-many; the shared-vs-replay difference is what the
+//! products change per member once built (their build cost is not in
+//! it); and the final **back-end decomposition** line splits the plain
+//! replay steady state into trace production, the isolated D-cache model
+//! drive and the residual window/scheduler/rename core — the
+//! decomposition the ROADMAP's performance tables quote.
 //!
 //! Run with `cargo run --release -p dvi-bench --example frontend_ablation`.
 
@@ -127,10 +128,10 @@ fn main() {
             })
             .sum()
     });
-    time("sim+replay (plain replay back end)", &|| {
+    let plain_ns = time("sim+replay (sweep steady state: plain replay)", &|| {
         traces.iter().map(|t| Simulator::new(config.clone()).run(t.replay()).program_instrs).sum()
     });
-    let shared_ns = time("sim+replay+shared (sweep steady state: depgraph + oracles)", &|| {
+    time("sim+replay+shared (opt-in products: depgraph + oracles)", &|| {
         traces
             .iter()
             .zip(&shared)
@@ -171,15 +172,15 @@ fn main() {
             })
             .sum()
     });
-    // The honest back-end split of the sweep steady state: what the
-    // ROADMAP's decomposition tables quote. Trace production and the
-    // isolated D-cache drive are measured above; the remainder is the
+    // The back-end split of the sweep steady state: what the ROADMAP's
+    // decomposition tables quote. Trace production and the isolated
+    // D-cache drive are measured above; the remainder is the
     // window/scheduler/rename core plus everything the isolation cannot
     // capture (issue-order effects, shared-L2 interleaving).
     println!(
-        "backend-decomposition: shared steady state {shared_ns:.1} ns/instr = replay-drain \
+        "backend-decomposition: plain replay steady state {plain_ns:.1} ns/instr = replay-drain \
          {replay_drain:.1} + dcache-model ≈{dcache_drive:.1} + window/sched/rename residual \
          ≈{:.1}",
-        (shared_ns - replay_drain - dcache_drive).max(0.0)
+        (plain_ns - replay_drain - dcache_drive).max(0.0)
     );
 }

@@ -70,9 +70,8 @@ pub fn run_with(budget: Budget, benchmarks: &[WorkloadSpec], sizes: &[usize]) ->
     // Capture each benchmark's traces once (the capture passes are the
     // only remaining interpreter work), then drive every benchmark's
     // entire size × scheme grid as cells of ONE whole-matrix sweep: the
-    // matrix builds each trace's shared products once and drains all
-    // benchmarks' grid points through a single work-stealing queue
-    // instead of one batched pass per trace.
+    // matrix drains all benchmarks' grid points through a single
+    // work-stealing queue instead of one batched pass per trace.
     let captured: Vec<CapturedBinaries> =
         benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
     let cells = captured

@@ -5,9 +5,9 @@
 //! capture-once/replay-many discipline: [`Binaries::capture`] records each
 //! binary's trace with the functional interpreter exactly once per budget,
 //! and the whole configuration grid of a figure re-times the capture —
-//! through [`sweep`], which batches every grid point into one co-scheduled
-//! pass over the trace (`dvi_sim::batch::SweepRunner`), or through
-//! [`replay`] for a single point. Both are bit-identical to live
+//! through [`sweep_matrix`] for a figure's whole (trace × grid) matrix,
+//! [`sweep`] for one grid, or [`replay`] for a single point. Every member
+//! is plain replay over the trace and bit-identical to live
 //! interpretation (`dvi-sim/tests/replay_equiv.rs`,
 //! `dvi-sim/tests/batch_equiv.rs`), so this is purely a host-time
 //! optimization.
@@ -108,22 +108,14 @@ impl Binaries {
         }
     }
 
-    /// Records both binaries' dynamic traces once — and builds each
-    /// trace's dependence graph ([`dvi_program::DepGraph`]) in the same
-    /// breath — for replay across every machine configuration of a sweep.
-    /// The precompute-once discipline extends to the graph: every sweep
-    /// point shares it by reference, and the one-off build cost is
-    /// recorded in the trace's [`dvi_program::ExecSummary`].
+    /// Records both binaries' dynamic traces once, for replay across
+    /// every machine configuration of a sweep.
     #[must_use]
     pub fn capture(&self, budget: Budget) -> CapturedBinaries {
-        let mut baseline = CapturedTrace::record(&self.baseline, budget.instrs_per_run);
-        baseline.build_depgraph();
-        let mut edvi = CapturedTrace::record(&self.edvi, budget.instrs_per_run);
-        edvi.build_depgraph();
         CapturedBinaries {
             name: self.name.clone(),
-            baseline,
-            edvi,
+            baseline: CapturedTrace::record(&self.baseline, budget.instrs_per_run),
+            edvi: CapturedTrace::record(&self.edvi, budget.instrs_per_run),
             static_instrs: self.static_instrs,
         }
     }
@@ -172,12 +164,9 @@ pub fn replay(trace: &CapturedTrace, config: SimConfig) -> SimStats {
     Simulator::new(config).run(trace.replay())
 }
 
-/// Times a recorded trace on every configuration of a grid in **one**
-/// batched pass (`dvi_sim::batch::SweepRunner`): the grid members are
-/// co-scheduled over the shared trace and share every trace-pure product —
-/// the static-decode table, the branch/I-cache oracle bitstreams, the
-/// dependence graph (producer-link dispatch wiring) and one decode-stage
-/// DVI event stream per distinct DVI configuration on the grid.
+/// Times a recorded trace on every configuration of a grid
+/// (`dvi_sim::batch::SweepRunner`): the grid members are co-scheduled over
+/// the shared trace, each on plain replay through its own cursor.
 /// Per-configuration statistics are returned in grid order and are
 /// bit-identical to calling [`replay`] once per configuration
 /// (`dvi-sim/tests/batch_equiv.rs`).
@@ -187,7 +176,7 @@ pub fn sweep(trace: &CapturedTrace, configs: impl IntoIterator<Item = SimConfig>
 }
 
 /// [`sweep`] with the grid members distributed across the host's cores
-/// (`SweepRunner::run_parallel`): same shared products, same grid-order
+/// (`SweepRunner::run_parallel`): same grid-order
 /// results, bit-identical statistics at any thread count
 /// (`dvi-sim/tests/parallel_equiv.rs`) — the figure drivers' default.
 /// Member threads nest under the drivers' per-benchmark rayon fan-out; on
@@ -243,9 +232,8 @@ pub fn sweep_parallel_outcomes(
 
 /// Runs many (trace × configuration-grid) cells as **one** whole-matrix
 /// sweep ([`dvi_sim::MatrixRunner`]): every distinct trace across the
-/// cells builds its trace-pure shared products (static-decode table,
-/// oracle bitstreams, dependence graph) exactly once, identical
-/// (trace, configuration) members are simulated once, and all members
+/// cells registers once, identical (trace, configuration) members are
+/// simulated once, and all members
 /// drain through a single work-stealing queue instead of one queue per
 /// figure grid. Results come back in cell order, each cell in grid
 /// order, and are bit-identical to calling [`sweep_parallel_outcomes`]
@@ -270,23 +258,6 @@ pub fn sweep_matrix(cells: Vec<(&CapturedTrace, Vec<SimConfig>)>) -> Vec<Vec<Mem
         }
     }
     MatrixRunner::new(cells).run().into_cells()
-}
-
-/// [`sweep_outcomes`] with the shared D-cache oracle enabled
-/// (`SweepRunner::with_dcache_oracle`): each qualifying data-side geometry
-/// group additionally records one L1D outcome stream and replays it into
-/// every group member. Statistics stay bit-identical to [`sweep`] — a
-/// member whose issue order diverges from the recording member's access
-/// stream is retried live and comes back as [`MemberOutcome::Degraded`]
-/// (`dvi-sim/tests/dcache_equiv.rs`), which is why the figure drivers keep
-/// the oracle off: their golden fixtures include sweep-health lines, and a
-/// host-time optimization must not be able to change them.
-#[must_use]
-pub fn sweep_dcache_oracle_outcomes(
-    trace: &CapturedTrace,
-    configs: impl IntoIterator<Item = SimConfig>,
-) -> Vec<MemberOutcome> {
-    SweepRunner::new(trace, configs).with_dcache_oracle().run_outcomes()
 }
 
 /// Splits fault-isolated sweep results into per-member statistics (grid
@@ -361,23 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn dcache_oracle_sweep_matches_the_plain_sweep() {
-        let budget = Budget { instrs_per_run: 10_000 };
-        let captured = CapturedBinaries::build(&WorkloadSpec::small("dco", 6), budget);
-        let grid = [
-            SimConfig::micro97(),
-            SimConfig::micro97().with_dvi(DviConfig::full()),
-            SimConfig::micro97().with_phys_regs(48),
-        ];
-        let plain = sweep(&captured.edvi, grid.iter().cloned());
-        let (oracle, health) =
-            fold_outcomes(sweep_dcache_oracle_outcomes(&captured.edvi, grid.iter().cloned()));
-        assert_eq!(oracle, plain, "the D-cache oracle must be invisible to the statistics");
-        assert_eq!(health.failed, 0, "no member may be lost to the oracle");
-        assert_eq!(health.deadlocked, 0);
-    }
-
-    #[test]
     fn replaying_a_captured_binary_matches_live_simulation() {
         let budget = Budget { instrs_per_run: 10_000 };
         let binaries = Binaries::build(&WorkloadSpec::small("cap", 4));
@@ -390,6 +344,31 @@ mod tests {
             let live = simulate(&binaries.edvi, config.clone(), budget);
             let replayed = replay(&captured.edvi, config);
             assert_eq!(live, replayed, "replay must be bit-identical to live simulation");
+        }
+    }
+
+    /// The figure path builds no trace-pure products: captured traces
+    /// carry no dependence graph, and a whole-matrix run simulates every
+    /// member on plain replay (no fusion counters touched) with one
+    /// preparation pass per distinct trace.
+    #[test]
+    fn captured_binaries_and_matrix_runs_build_no_products() {
+        let budget = Budget { instrs_per_run: 8_000 };
+        let captured = CapturedBinaries::build(&WorkloadSpec::small("plain", 3), budget);
+        assert!(captured.baseline.depgraph().is_none());
+        assert!(captured.edvi.depgraph().is_none());
+        let grid = vec![SimConfig::micro97(), SimConfig::micro97().with_dvi(DviConfig::full())];
+        let cells = vec![
+            (&captured.baseline, grid.clone()),
+            (&captured.edvi, grid.clone()),
+            (&captured.edvi, grid),
+        ];
+        let outcome = MatrixRunner::new(cells).run();
+        assert_eq!(outcome.report.shared_builds, 2, "one preparation pass per distinct trace");
+        for member in outcome.cells.iter().flatten() {
+            let stats = member.as_ref().and_then(MemberOutcome::stats).expect("member completes");
+            let fusion = stats.fusion;
+            assert_eq!(fusion.groups + fusion.fused_records + fusion.fallback_records, 0);
         }
     }
 }

@@ -413,10 +413,9 @@ impl DcacheOracle {
 /// Every access is compared against the recorded (address, write) stream
 /// — an exact online check, strictly stronger than a fingerprint. On the
 /// first mismatch (or on exhausting the recording) the cursor panics with
-/// a `D-cache oracle divergence` message; the sweep runner's member panic
-/// boundary catches it and re-runs the member on private live structures
-/// ([`MemberOutcome::Degraded`] upstream), so a diverging member costs
-/// host time, never statistics.
+/// a `D-cache oracle divergence` message, so a diverging member never
+/// reports wrong statistics; a caller that catches the panic can re-run
+/// the member on its private live L1D.
 #[derive(Debug, Clone)]
 pub struct DcacheOracleCursor {
     oracle: Arc<DcacheOracle>,

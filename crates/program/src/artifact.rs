@@ -33,7 +33,9 @@
 //!
 //! Writes go through [`ArtifactWriter::write_atomic`]: the bytes land in a
 //! temporary sibling file first and are renamed into place, so a reader
-//! never observes a half-written artifact under the final name.
+//! never observes a half-written artifact under the final name. Each write
+//! stages under its own temporary name, so concurrent writers of one path
+//! never rename each other's half-written files.
 //!
 //! The checksum is **XXH64** implemented in plain Rust below (no new
 //! dependencies; the vendor policy is unchanged) and locked against the
@@ -42,6 +44,7 @@
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 // --------------------------------------------------------------- xxh64 --
 
@@ -337,12 +340,55 @@ impl<'a> ByteReader<'a> {
         })
     }
 
-    /// Reads a `u64` count/length prefix and narrows it to `usize`.
+    /// Reads a `u64` count/length prefix and narrows it to `usize`. Use
+    /// [`ByteReader::count_of`] instead whenever the count sizes a buffer.
     pub fn count(&mut self) -> Result<usize, ArtifactError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| ArtifactError::Malformed {
             context: format!("{}: length {v} does not fit in usize", self.context),
         })
+    }
+
+    /// Reads a count of elements that each take at least `min_elem_bytes`
+    /// of the bytes still left in this reader, rejecting any count the
+    /// payload cannot hold. Every decoder sizes its buffers through this
+    /// (or [`ByteReader::count_within`]), so an allocation sized from
+    /// input is bounded by the input's own length: a forged count is a
+    /// typed error, never an abort.
+    pub fn count_of(&mut self, min_elem_bytes: usize) -> Result<usize, ArtifactError> {
+        let n = self.count()?;
+        self.fits(n, min_elem_bytes, self.remaining())
+    }
+
+    /// [`ByteReader::count_of`] for elements that live outside this
+    /// reader — in another section, say — of which `available` bytes
+    /// exist.
+    pub fn count_within(
+        &mut self,
+        min_elem_bytes: usize,
+        available: usize,
+    ) -> Result<usize, ArtifactError> {
+        let n = self.count()?;
+        self.fits(n, min_elem_bytes, available)
+    }
+
+    fn fits(
+        &self,
+        n: usize,
+        min_elem_bytes: usize,
+        available: usize,
+    ) -> Result<usize, ArtifactError> {
+        if n.checked_mul(min_elem_bytes.max(1)).is_some_and(|need| need <= available) {
+            Ok(n)
+        } else {
+            Err(ArtifactError::Malformed {
+                context: format!(
+                    "{}: count {n} of {min_elem_bytes}-byte elements exceeds the {available} \
+                     bytes available",
+                    self.context
+                ),
+            })
+        }
     }
 
     /// Number of bytes left to read.
@@ -364,6 +410,30 @@ impl<'a> ByteReader<'a> {
 }
 
 // ----------------------------------------------------------- container --
+
+/// Bytes of container framing in front of every section payload (tag,
+/// length, checksum): the least any section occupies in an artifact.
+pub const SECTION_HEADER_BYTES: usize = 20;
+
+/// Writes `bytes` to `path` atomically: they go to a temporary sibling
+/// first and are renamed over the destination, so a concurrent reader (or
+/// a crash mid-write) never sees a half-written file under the final
+/// name. The temporary name is unique per write — process id plus a
+/// process-wide counter — so two writers of the same path (say two
+/// service workers storing one memo key) each rename a whole file of
+/// their own; the last rename wins.
+pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let io = |e: std::io::Error| ArtifactError::Io(format!("writing {}: {e}", path.display()));
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.{}.tmp", std::process::id(), WRITES.fetch_add(1, Ordering::Relaxed)));
+    let tmp = std::path::PathBuf::from(tmp);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written.map_err(io)
+}
 
 /// Builds an artifact: header plus checksummed sections, in the order the
 /// sections are added.
@@ -392,7 +462,8 @@ impl ArtifactWriter {
     /// length and checksum).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let total: usize = 20 + self.sections.iter().map(|(_, p)| 20 + p.len()).sum::<usize>();
+        let total: usize =
+            20 + self.sections.iter().map(|(_, p)| SECTION_HEADER_BYTES + p.len()).sum::<usize>();
         let mut out = Vec::with_capacity(total);
         out.extend_from_slice(&self.magic);
         out.extend_from_slice(&self.version.to_le_bytes());
@@ -406,17 +477,9 @@ impl ArtifactWriter {
         out
     }
 
-    /// Writes the artifact to `path` atomically: the bytes go to a
-    /// temporary sibling first and are renamed over the destination, so a
-    /// concurrent reader (or a crash mid-write) never sees a half-written
-    /// file under the final name.
+    /// Writes the artifact to `path` atomically ([`write_file_atomic`]).
     pub fn write_atomic(&self, path: &Path) -> Result<(), ArtifactError> {
-        let io = |e: std::io::Error| ArtifactError::Io(e.to_string());
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_bytes()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        write_file_atomic(path, &self.to_bytes())
     }
 }
 
@@ -644,5 +707,53 @@ mod tests {
         let r = ArtifactReader::parse(&bytes, *b"TESTMAGC", 1).unwrap();
         assert_eq!(r.section(1).unwrap(), &[42u8; 17]);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_of_one_path_always_leave_a_loadable_file() {
+        let dir = std::env::temp_dir().join(format!("dvi-artifact-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.bin");
+        std::thread::scope(|scope| {
+            for writer in 0..4u8 {
+                let path = &path;
+                scope.spawn(move || {
+                    for round in 0..50u8 {
+                        let mut w = ArtifactWriter::new(*b"TESTMAGC", 1);
+                        w.section(1, vec![writer ^ round; 4096 + usize::from(round) * 64]);
+                        w.write_atomic(path).unwrap();
+                        let bytes = std::fs::read(path).unwrap();
+                        let r = ArtifactReader::parse(&bytes, *b"TESTMAGC", 1)
+                            .expect("every observed file is one writer's whole artifact");
+                        let payload = r.section(1).unwrap();
+                        assert!(payload.iter().all(|&b| b == payload[0]));
+                    }
+                });
+            }
+        });
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != "shared.bin")
+            .collect();
+        assert!(leftovers.is_empty(), "stray temporary files: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn count_of_rejects_counts_the_payload_cannot_hold() {
+        let mut w = ByteWriter::new();
+        w.put_u64(3);
+        w.put_bytes(&[0; 24]);
+        w.put_u64(1 << 40);
+        w.put_bytes(&[0; 8]);
+        w.put_u64(u64::MAX);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes, "counts");
+        assert_eq!(r.count_of(8).unwrap(), 3);
+        r.bytes(24).unwrap();
+        assert!(matches!(r.count_of(8), Err(ArtifactError::Malformed { .. })));
+        r.bytes(8).unwrap();
+        assert!(matches!(r.count_of(1), Err(ArtifactError::Malformed { .. })));
     }
 }

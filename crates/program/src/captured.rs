@@ -322,8 +322,10 @@ impl CapturedTrace {
         let r = ArtifactReader::parse(bytes, TRACE_MAGIC, TRACE_VERSION)?;
 
         let mut meta = ByteReader::new(r.section(section::META)?, "trace metadata");
-        let records = meta.count()?;
-        let static_len = meta.count()?;
+        // Each record carries a 4-byte PC and each static instruction a
+        // 4-byte procedure id, which bounds both counts by their sections.
+        let records = meta.count_within(4, r.section(section::PCS)?.len())?;
+        let static_len = meta.count_within(4, r.section(section::STATIC_PROCS)?.len())?;
         let summary = read_summary(&mut meta, r.version())?;
         meta.finish()?;
 

@@ -401,7 +401,8 @@ impl DepGraph {
     /// Decodes a graph serialized by [`DepGraph::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<DepGraph, crate::artifact::ArtifactError> {
         let mut r = crate::artifact::ByteReader::new(bytes, "dependence graph");
-        let n = r.count()?;
+        // Per record: two 4-byte producer links, a flag byte, a 4-byte depth.
+        let n = r.count_of(13)?;
         let mut prod = Vec::with_capacity(n);
         for _ in 0..n {
             prod.push([r.u32()?, r.u32()?]);

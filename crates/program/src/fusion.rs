@@ -417,7 +417,8 @@ impl FusionTable {
         if width == 0 || width > Self::MAX_WIDTH {
             return Err(malformed("fusion table width out of range"));
         }
-        let n = r.count()?;
+        // Per record: class, dst, flags, dep flags, two waits, run, rdst.
+        let n = r.count_of(8)?;
         let mut class = Vec::with_capacity(n);
         for _ in 0..n {
             class.push(class_from_byte(r.u8()?)?);

@@ -9,21 +9,19 @@
 //! flipped payload byte as [`ArtifactError::ChecksumMismatch`] naming the
 //! corrupted section, never as a panic or a silently different trace.
 //!
-//! The same container carries the sweep runner's oracle bundle
-//! (`dvi_sim::RecordedOracles`, a dev-only dependency cycle), so the tail
-//! of this suite drills its tagged sections — the D-cache oracle (bundle
-//! v2) and the dispatch-group fusion tables (bundle v3) — through the
-//! identical gauntlet: bit-exact roundtrip, truncation, checksum
-//! corruption pinned to the section tag, version skew and
-//! stale-trace-fingerprint rejection.
+//! The dispatch-group fusion tables serialize into the same container
+//! ([`FusionTable::to_bytes`] payloads as tagged sections), so the suite
+//! also drills them through the gauntlet: bit-exact roundtrip, and
+//! truncation and checksum corruption pinned to the fusion section.
 
-use dvi_program::captured::{TRACE_MAGIC, TRACE_VERSION};
+use dvi_program::artifact::{xxh64, ArtifactReader, ArtifactWriter};
+use dvi_program::captured::{section, TRACE_MAGIC, TRACE_VERSION};
 use dvi_program::{
-    ArtifactError, CapturedTrace, LayoutProgram, ProcBuilder, ProgramBuilder, DATA_BASE,
+    ArtifactError, CapturedTrace, FusionTable, LayoutProgram, ProcBuilder, ProgramBuilder,
+    DATA_BASE,
 };
-use dvi_sim::batch::{oracle_section, ORACLES_VERSION};
-use dvi_sim::{record_dcache_oracle, RecordedOracles, SimConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 use dvi_isa::{AluOp, ArchReg, CmpOp, Instr};
 
@@ -194,105 +192,39 @@ fn save_and_load_round_trip_through_the_filesystem() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An oracle bundle whose D-cache section is populated from a real
-/// recording run over `trace` (the paper geometry), alongside the branch
-/// and I-cache streams so the section walker sees a realistic mix.
-fn dcache_bundle(trace: &CapturedTrace) -> RecordedOracles {
-    let config = SimConfig::micro97();
-    RecordedOracles::record(trace, Some(config.predictor), Some(config.icache), &[])
-        .with_dcache(config.dmem_geometry(), record_dcache_oracle(trace, &config))
-}
+/// Container magic and section tag the fusion tests store tables under
+/// (section tags are a per-format, writer-chosen namespace).
+const FUSION_MAGIC: [u8; 8] = *b"DVIFUSN1";
+const FUSION_TAG: u32 = u32::from_le_bytes(*b"FUSN");
 
-#[test]
-fn dcache_oracle_section_roundtrips_bit_exactly() {
-    let trace = CapturedTrace::record(&mixed_program(6), 400);
-    let bundle = dcache_bundle(&trace);
-    let bytes = bundle.to_bytes();
-    let loaded = RecordedOracles::from_bytes(&bytes, Some(trace.fingerprint()))
-        .expect("a clean bundle loads");
-
-    assert_eq!(loaded.trace_fingerprint(), bundle.trace_fingerprint());
-    let [(geometry, oracle)] = loaded.dcache() else {
-        panic!("the bundle carries exactly one D-cache oracle");
-    };
-    let [(want_geometry, want)] = bundle.dcache() else { unreachable!("recorded above") };
-    assert_eq!(geometry, want_geometry);
-    assert!(!want.is_empty(), "the recording run produced data accesses");
-    assert_eq!(oracle.geometry(), want.geometry());
-    assert_eq!(oracle.len(), want.len());
-    assert_eq!(oracle.totals(), want.totals());
-    assert_eq!(oracle.addrs(), want.addrs());
-    assert_eq!(oracle.writes(), want.writes());
-    assert_eq!(oracle.hits(), want.hits());
-    assert_eq!(
-        oracle.stream_fingerprint(),
-        want.stream_fingerprint(),
-        "the replayed access stream must hash identically to the recorded one"
-    );
-}
-
-#[test]
-fn truncated_dcache_bundles_are_rejected_with_typed_errors() {
-    let trace = CapturedTrace::record(&mixed_program(5), 300);
-    let bytes = dcache_bundle(&trace).to_bytes();
-    // Every cut that lands inside the D-cache section (the last one
-    // written), plus the usual boundary cuts.
-    let spans = section_spans(&bytes);
-    let (_, dcache_start, dcache_len) =
-        *spans.iter().find(|(tag, ..)| *tag == oracle_section::DCACHE).expect("dcache section");
-    for cut in [0, 7, 15, dcache_start - 1, dcache_start + dcache_len / 2, bytes.len() - 1] {
-        let err = RecordedOracles::from_bytes(&bytes[..cut], None)
-            .expect_err("a truncated bundle must not load");
-        assert!(
-            matches!(err, ArtifactError::TruncatedArtifact { .. } | ArtifactError::BadMagic { .. }),
-            "cut at {cut} gave {err:?}"
-        );
-    }
-}
-
-#[test]
-fn corrupted_dcache_section_is_a_checksum_mismatch_pinned_to_its_tag() {
-    let trace = CapturedTrace::record(&mixed_program(5), 300);
-    let bytes = dcache_bundle(&trace).to_bytes();
-    for (tag, start, len) in section_spans(&bytes) {
-        if len == 0 {
-            continue;
-        }
-        let mut corrupt = bytes.clone();
-        corrupt[start + len / 2] ^= 0x40;
-        let err = RecordedOracles::from_bytes(&corrupt, None)
-            .expect_err("a corrupted bundle must not load");
-        assert_eq!(
-            err,
-            ArtifactError::ChecksumMismatch { section: tag },
-            "flip in section {tag} must be pinned to that section"
-        );
-    }
-}
-
-/// An oracle bundle whose FUSION sections are populated from real table
-/// builds over `trace` (two decode widths), alongside the other streams so
-/// the section walker sees a realistic mix.
-fn fusion_bundle(trace: &CapturedTrace) -> RecordedOracles {
+/// A container holding the fusion tables built over `trace` at two decode
+/// widths, one tagged section per width, plus the tables themselves.
+fn fusion_container(trace: &CapturedTrace) -> (Vec<Arc<FusionTable>>, Vec<u8>) {
     let mut owned = trace.clone();
-    let config = SimConfig::micro97();
-    RecordedOracles::record(trace, Some(config.predictor), Some(config.icache), &[])
-        .with_fusion(owned.build_fusion(4))
-        .with_fusion(owned.build_fusion(8))
+    let tables = vec![owned.build_fusion(4), owned.build_fusion(8)];
+    let mut writer = ArtifactWriter::new(FUSION_MAGIC, 1);
+    for table in &tables {
+        writer.section(FUSION_TAG, table.to_bytes());
+    }
+    (tables, writer.to_bytes())
+}
+
+fn load_fusion_container(bytes: &[u8]) -> Result<Vec<FusionTable>, ArtifactError> {
+    let reader = ArtifactReader::parse(bytes, FUSION_MAGIC, 1)?;
+    reader.sections_with_tag(FUSION_TAG).map(FusionTable::from_bytes).collect()
 }
 
 #[test]
 fn fusion_sections_roundtrip_bit_exactly() {
     let trace = CapturedTrace::record(&mixed_program(6), 400);
-    let bundle = fusion_bundle(&trace);
-    let bytes = bundle.to_bytes();
-    let loaded = RecordedOracles::from_bytes(&bytes, Some(trace.fingerprint()))
-        .expect("a clean bundle loads");
+    let (tables, bytes) = fusion_container(&trace);
+    let loaded = load_fusion_container(&bytes).expect("a clean container loads");
 
-    assert_eq!(loaded.fusion().len(), 2, "both width classes survive the trip");
-    for (got, want) in loaded.fusion().iter().zip(bundle.fusion()) {
+    assert_eq!(loaded.len(), 2, "both width classes survive the trip");
+    for (got, want) in loaded.iter().zip(&tables) {
         assert_eq!(got.width(), want.width());
         assert_eq!(got.len(), want.len());
+        assert_eq!(got.len(), trace.len(), "one table row per trace record");
         assert!(want.fused_records() > 0, "the mixed program carries fusable groups");
         assert_eq!(got.group_count(), want.group_count());
         assert_eq!(got.fused_records(), want.fused_records());
@@ -308,50 +240,71 @@ fn fusion_sections_roundtrip_bit_exactly() {
 #[test]
 fn corrupted_or_truncated_fusion_sections_are_rejected_with_typed_errors() {
     let trace = CapturedTrace::record(&mixed_program(5), 300);
-    let bytes = fusion_bundle(&trace).to_bytes();
+    let (tables, bytes) = fusion_container(&trace);
     let spans = section_spans(&bytes);
-    let fusion_spans: Vec<_> =
-        spans.iter().filter(|(tag, ..)| *tag == oracle_section::FUSION).collect();
-    assert_eq!(fusion_spans.len(), 2, "one section per bundled width");
-    for &&(tag, start, len) in &fusion_spans {
+    assert_eq!(spans.len(), 2, "one section per stored width");
+    for (tag, start, len) in spans {
+        assert_eq!(tag, FUSION_TAG);
         let mut corrupt = bytes.clone();
         corrupt[start + len / 2] ^= 0x40;
         assert_eq!(
-            RecordedOracles::from_bytes(&corrupt, None)
-                .expect_err("a corrupted bundle must not load"),
+            load_fusion_container(&corrupt).expect_err("a corrupted container must not load"),
             ArtifactError::ChecksumMismatch { section: tag },
             "flip in a fusion section must be pinned to its tag"
         );
-        let err = RecordedOracles::from_bytes(&bytes[..start + len / 2], None)
-            .expect_err("a truncated bundle must not load");
+        let err = load_fusion_container(&bytes[..start + len / 2])
+            .expect_err("a truncated container must not load");
         assert!(
             matches!(err, ArtifactError::TruncatedArtifact { .. }),
             "cut inside a fusion section gave {err:?}"
         );
     }
+    // A section that hashes clean but was cut short by its writer is a
+    // typed decode error, not a short table.
+    let payload = tables[0].to_bytes();
+    let mut writer = ArtifactWriter::new(FUSION_MAGIC, 1);
+    writer.section(FUSION_TAG, payload[..payload.len() - 1].to_vec());
+    assert!(
+        load_fusion_container(&writer.to_bytes()).is_err(),
+        "a short fusion payload must not decode"
+    );
 }
 
+/// Overwrites the `u64` at `offset` into section `tag`'s payload and
+/// recomputes that section's checksum, the way a hostile uploader can: the
+/// checksums are unkeyed, so only the payload parser stands between a
+/// forged length and the allocator.
+fn forge_u64(bytes: &[u8], tag: u32, offset: usize, value: u64) -> Vec<u8> {
+    let (_, start, len) =
+        *section_spans(bytes).iter().find(|(t, ..)| *t == tag).expect("section present");
+    let mut forged = bytes.to_vec();
+    forged[start + offset..start + offset + 8].copy_from_slice(&value.to_le_bytes());
+    let checksum = xxh64(&forged[start..start + len], u64::from(tag));
+    forged[start - 8..start].copy_from_slice(&checksum.to_le_bytes());
+    forged
+}
+
+/// A re-checksummed artifact whose length fields promise more elements
+/// than the payload holds — a META record count of 2^40 or `u64::MAX`, a
+/// forged static-image length, a forged dependence-graph length — is a
+/// typed `Malformed` error, not an allocation abort or a capacity panic.
 #[test]
-fn dcache_bundle_version_skew_and_stale_fingerprints_are_rejected() {
-    let trace = CapturedTrace::record(&mixed_program(4), 250);
-    let bytes = dcache_bundle(&trace).to_bytes();
-
-    // A bundle from a future format version must not parse (the D-cache
-    // section bumped ORACLES_VERSION to 2 and the fusion tables to 3; a
-    // later reader could give its sections new meaning).
-    let mut future = bytes.clone();
-    future[8..12].copy_from_slice(&(ORACLES_VERSION + 1).to_le_bytes());
-    assert_eq!(
-        RecordedOracles::from_bytes(&future, None).expect_err("future version must not load"),
-        ArtifactError::VersionSkew { found: ORACLES_VERSION + 1, supported: ORACLES_VERSION }
-    );
-
-    // A bundle recorded from a different trace is rejected at load time
-    // when the caller supplies the trace fingerprint it expects.
-    let other = CapturedTrace::record(&mixed_program(9), 350);
-    assert_ne!(other.fingerprint(), trace.fingerprint(), "distinct traces for the stale check");
-    assert!(matches!(
-        RecordedOracles::from_bytes(&bytes, Some(other.fingerprint())),
-        Err(ArtifactError::FingerprintMismatch { .. })
-    ));
+fn forged_lengths_with_valid_checksums_are_typed_errors() {
+    let mut trace = CapturedTrace::record(&mixed_program(6), 400);
+    trace.build_depgraph();
+    let bytes = trace.to_bytes();
+    let forgeries = [
+        (section::META, 0, 1u64 << 40),
+        (section::META, 0, u64::MAX),
+        (section::META, 8, 1u64 << 40),
+        (section::DEPGRAPH, 0, 1u64 << 40),
+        (section::DEPGRAPH, 0, u64::MAX),
+    ];
+    for (tag, offset, value) in forgeries {
+        let forged = forge_u64(&bytes, tag, offset, value);
+        match CapturedTrace::from_bytes(&forged) {
+            Err(ArtifactError::Malformed { .. }) => {}
+            other => panic!("section {tag} +{offset} = {value}: expected Malformed, got {other:?}"),
+        }
+    }
 }

@@ -255,12 +255,13 @@ fn write_response(mut stream: TcpStream, status: u16, body: &Json) -> std::io::R
         _ => "Response",
     };
     let payload = body.encode();
-    write!(
-        stream,
+    // Head and body go out in one write: `write!` on the unbuffered
+    // stream would issue one small `write` per formatted piece.
+    let message = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
         payload.len()
-    )?;
-    stream.flush()
+    );
+    stream.write_all(message.as_bytes())
 }
 
 // --------------------------------------------------------------- client --
@@ -284,14 +285,14 @@ pub fn http_request(
         .map_err(|e| ServiceError::Io(format!("connecting to {addr}: {e}")))?;
     stream.set_read_timeout(Some(SOCKET_TIMEOUT)).ok();
     stream.set_write_timeout(Some(SOCKET_TIMEOUT)).ok();
-    write!(
-        stream,
+    // Head and body go out in one write (see `write_response`).
+    let mut message = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )
-    .map_err(|e| ServiceError::Io(format!("sending request: {e}")))?;
-    stream.write_all(body).map_err(|e| ServiceError::Io(format!("sending body: {e}")))?;
-    stream.flush().map_err(|e| ServiceError::Io(format!("sending request: {e}")))?;
+    .into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message).map_err(|e| ServiceError::Io(format!("sending request: {e}")))?;
 
     let mut response = Vec::new();
     stream

@@ -6,10 +6,9 @@
 //! while it is still queued, and each scheduling turn drains the *entire*
 //! pending queue — however many traces it spans — into one
 //! [`MatrixRunner`] run. The matrix's fingerprint-keyed trace registry
-//! builds the trace-pure shared products exactly once per distinct trace
-//! (even when two batch keys resolve to the same trace), and each distinct
-//! (trace, configuration) member simulates at most once, however many jobs
-//! asked for it.
+//! registers each distinct trace once (even when two batch keys resolve
+//! to the same trace), and each distinct (trace, configuration) member
+//! simulates at most once, however many jobs asked for it.
 //!
 //! Each matrix turn gets the substrate's full durability story: the cache
 //! is probed per distinct member (hits simulate nothing), the misses run
@@ -17,7 +16,7 @@
 //! thread whose panic is caught — a dead attempt is retried once, resuming
 //! every checkpointed member bit-identical to the uninterrupted run
 //! because member statistics are a pure function of (configuration,
-//! trace, shared products) — and fresh results are memoized for every
+//! trace) — and fresh results are memoized for every
 //! later job. Cancellation rides the matrix's cooperative cell gate: a
 //! cancelled job's queued units leave the pending queue immediately, and
 //! its in-flight members are skipped at the next scheduling claim unless
@@ -49,8 +48,8 @@ pub struct ServiceConfig {
     pub checkpoint_every_turns: u64,
     /// Shards each matrix turn is partitioned into (see
     /// [`MatrixRunner::shards`]): above 1, every shard replicates its
-    /// traces and shared products privately, keeping hot read-only state
-    /// local on multi-socket hosts.
+    /// traces privately, keeping hot read-only state local on
+    /// multi-socket hosts.
     pub shards: usize,
     /// Test hook for the kill/resume suite: the **first** matrix attempt
     /// after startup dies (panics) once this many members have completed
@@ -237,17 +236,6 @@ pub struct MetricsSnapshot {
     /// Members whose cache entry existed but failed verification and
     /// degraded to a live run.
     pub cache_damaged: u64,
-    /// Dispatch-group fusion groups dispatched whole across all simulated
-    /// members (host-policy observability riding each member's
-    /// `SimStats::fusion`; cached members add nothing — nothing was
-    /// dispatched for them).
-    pub fusion_groups: u64,
-    /// Records dispatched by the fusion fast path across all simulated
-    /// members.
-    pub fusion_fused_records: u64,
-    /// Records dispatched by the fallback slow loop (while a fusion table
-    /// was attached) across all simulated members.
-    pub fusion_fallback_records: u64,
     /// Batch attempts that died (panicked) and went through the
     /// checkpoint/resume retry.
     pub worker_deaths: u64,
@@ -256,11 +244,11 @@ pub struct MetricsSnapshot {
     /// Distinct traces seen across all matrix turns after
     /// fingerprint-keyed registry deduplication.
     pub matrix_distinct_traces: u64,
-    /// Shared-product build passes actually run — exactly one per
-    /// distinct trace per matrix turn.
+    /// Distinct traces with work, summed over matrix turns — one per
+    /// distinct trace per turn ([`dvi_sim::MatrixReport::shared_builds`]).
     pub matrix_shared_builds: u64,
-    /// Scheduled members that consumed shared products without triggering
-    /// a build pass (the matrix's reuse proof).
+    /// Scheduled members beyond the first of their trace, summed over
+    /// matrix turns (the matrix's reuse proof).
     pub matrix_build_reuse_hits: u64,
     /// Members workers stole from other shards' queues across all matrix
     /// turns.
@@ -316,20 +304,6 @@ impl MetricsSnapshot {
             0.0
         } else {
             self.queue_wait_seconds / picked as f64
-        }
-    }
-
-    /// Fraction of fusion-eligible dispatch work carried by the fused fast
-    /// path across all simulated members, in percent (0 when nothing was
-    /// simulated). A service whose grids mostly fall back is *visible*
-    /// here instead of silently slow.
-    #[must_use]
-    pub fn fusion_coverage_pct(&self) -> f64 {
-        let total = self.fusion_fused_records + self.fusion_fallback_records;
-        if total == 0 {
-            0.0
-        } else {
-            self.fusion_fused_records as f64 / total as f64 * 100.0
         }
     }
 
@@ -403,9 +377,6 @@ struct MetricsCounters {
     cache_hits: u64,
     cache_misses: u64,
     cache_damaged: u64,
-    fusion_groups: u64,
-    fusion_fused_records: u64,
-    fusion_fallback_records: u64,
     worker_deaths: u64,
     matrix_turns: u64,
     matrix_distinct_traces: u64,
@@ -494,13 +465,11 @@ impl SweepService {
         &self.0.cache
     }
 
-    /// Registers a trace (building its dependence graph if needed) and
-    /// returns its content fingerprint for use in
+    /// Registers a trace and returns its content fingerprint for use in
     /// [`TraceSource::Fingerprint`]. Registering the same trace twice is
     /// idempotent.
     #[must_use]
-    pub fn register_trace(&self, mut trace: CapturedTrace) -> u64 {
-        trace.build_depgraph();
+    pub fn register_trace(&self, trace: CapturedTrace) -> u64 {
         let fingerprint = trace.fingerprint();
         lock(&self.0.state).traces.entry(fingerprint).or_insert_with(|| Arc::new(trace));
         fingerprint
@@ -721,9 +690,6 @@ impl SweepService {
             cache_hits: m.cache_hits,
             cache_misses: m.cache_misses,
             cache_damaged: m.cache_damaged,
-            fusion_groups: m.fusion_groups,
-            fusion_fused_records: m.fusion_fused_records,
-            fusion_fallback_records: m.fusion_fallback_records,
             worker_deaths: m.worker_deaths,
             matrix_turns: m.matrix_turns,
             matrix_distinct_traces: m.matrix_distinct_traces,
@@ -889,11 +855,10 @@ fn run_turn(inner: &ServiceInner, batches: Vec<Batch>) {
 
     // One matrix cell per (batch, job): the job's distinct misses in
     // first-appearance order. The matrix registry dedups identical traces
-    // and identical (trace, configuration) members across cells, so
-    // shared products build once per distinct trace — even when two batch
-    // keys (say a preset and an uploaded trace) resolve to the same
-    // fingerprint — and shared members simulate once for every job that
-    // asked.
+    // and identical (trace, configuration) members across cells, so a
+    // trace registers once — even when two batch keys (say a preset and
+    // an uploaded trace) resolve to the same fingerprint — and shared
+    // members simulate once for every job that asked.
     let mut cells: Vec<(&CapturedTrace, Vec<SimConfig>)> = Vec::new();
     let mut cell_meta: Vec<CellMeta> = Vec::new();
     for (b, (batch, trace)) in prepared.iter().enumerate() {
@@ -936,11 +901,6 @@ fn run_turn(inner: &ServiceInner, batches: Vec<Batch>) {
                 let report = &outcome.report;
                 let mut m = lock(&inner.metrics);
                 m.members_simulated += report.unique_members as u64 - report.skipped_members;
-                for fusion in fresh.values().filter_map(|o| o.stats().map(|s| s.fusion)) {
-                    m.fusion_groups += fusion.groups;
-                    m.fusion_fused_records += fusion.fused_records;
-                    m.fusion_fallback_records += fusion.fallback_records;
-                }
                 m.matrix_turns += 1;
                 m.matrix_distinct_traces += report.distinct_traces as u64;
                 m.matrix_shared_builds += report.shared_builds;
@@ -1264,6 +1224,37 @@ mod tests {
         assert_eq!(m.members_simulated, 0);
         assert_eq!(m.cache_hit_rate(), 0.0);
         assert_eq!(m.workers, 1);
+        service.shutdown();
+    }
+
+    /// Neither trace ingest path builds trace-pure products, and a
+    /// service turn runs every member on plain replay: registered and
+    /// preset traces carry no dependence graph, and no simulated member
+    /// touched the fusion counters.
+    #[test]
+    fn ingest_and_turns_build_no_products() {
+        let service = temp_service("plain-replay", 1);
+        let uploaded = build_preset_trace("gcc", 6_000).expect("preset builds");
+        assert!(uploaded.depgraph().is_none(), "a preset trace is built without a graph");
+        let fp = service.register_trace(uploaded);
+        let grid = vec![SimConfig::micro97(), SimConfig::micro97().with_phys_regs(40)];
+        let sources = [
+            TraceSource::Fingerprint(fp),
+            TraceSource::Preset { name: "li".into(), instrs: 6_000 },
+        ];
+        for source in sources {
+            let job = service.submit(JobSpec { source, grid: grid.clone() }).expect("submits");
+            service.wait(job, Duration::from_secs(600)).expect("finishes");
+            for outcome in service.results(job).expect("results").outcomes {
+                let stats = outcome.stats().expect("member completes");
+                let fusion = stats.fusion;
+                assert_eq!(fusion.groups + fusion.fused_records + fusion.fallback_records, 0);
+            }
+        }
+        let state = lock(&service.0.state);
+        assert_eq!(state.traces.len(), 2);
+        assert!(state.traces.values().all(|t| t.depgraph().is_none()));
+        drop(state);
         service.shutdown();
     }
 }

@@ -338,10 +338,6 @@ pub fn metrics_to_json(m: &MetricsSnapshot) -> Json {
         ("cache_misses", Json::UInt(m.cache_misses)),
         ("cache_damaged", Json::UInt(m.cache_damaged)),
         ("cache_hit_rate", Json::Num(m.cache_hit_rate())),
-        ("fusion_groups", Json::UInt(m.fusion_groups)),
-        ("fusion_fused_records", Json::UInt(m.fusion_fused_records)),
-        ("fusion_fallback_records", Json::UInt(m.fusion_fallback_records)),
-        ("fusion_coverage_pct", Json::Num(m.fusion_coverage_pct())),
         ("worker_deaths", Json::UInt(m.worker_deaths)),
         ("matrix_turns", Json::UInt(m.matrix_turns)),
         ("matrix_distinct_traces", Json::UInt(m.matrix_distinct_traces)),

@@ -3,8 +3,7 @@
 //! The service's preset path mirrors the experiment harness exactly:
 //! generate the workload, compile the **annotated** binary (E-DVI before
 //! calls — the binary the paper's figures time), lay it out, record
-//! `instrs` dynamic instructions, and build the dependence graph so every
-//! sweep member shares it by reference. Keeping this chain identical to
+//! `instrs` dynamic instructions. Keeping this chain identical to
 //! `dvi-experiments::harness` is what makes service results bit-identical
 //! to the figure drivers for the same (preset, budget, grid).
 
@@ -22,7 +21,7 @@ pub fn preset_names() -> Vec<String> {
 }
 
 /// Generates, compiles and records `instrs` dynamic instructions of the
-/// named preset, dependence graph included — ready to sweep.
+/// named preset, ready to sweep.
 ///
 /// # Errors
 ///
@@ -49,9 +48,7 @@ pub fn build_preset_trace(name: &str, instrs: u64) -> Result<CapturedTrace, Serv
     let layout = compiled.program.layout().map_err(|e| {
         ServiceError::InvalidRequest(format!("preset '{name}' failed to lay out: {e}"))
     })?;
-    let mut trace = CapturedTrace::record(&layout, instrs);
-    trace.build_depgraph();
-    Ok(trace)
+    Ok(CapturedTrace::record(&layout, instrs))
 }
 
 #[cfg(test)]

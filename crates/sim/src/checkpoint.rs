@@ -13,7 +13,7 @@
 //! Resume ([`crate::batch::SweepRunner::resume`]) restores finished
 //! members verbatim and re-runs interrupted ones from record 0. That is
 //! not an approximation: member statistics are a pure function of
-//! (configuration, trace, shared products), so the resumed run's final
+//! (configuration, trace), so the resumed run's final
 //! outcomes are **bit-identical** to the uninterrupted run's — the
 //! recorded in-flight positions are diagnostic (how far the sweep got),
 //! not replay state. `tests/fault_tolerance.rs` locks the equivalence by
@@ -25,7 +25,9 @@ use crate::stats::{DeadlockReport, ProgressStage, SimStats};
 use dvi_bpred::PredictorStats;
 use dvi_core::DviStats;
 use dvi_mem::{CacheStats, HierarchyStats};
-use dvi_program::artifact::{xxh64, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter};
+use dvi_program::artifact::{
+    xxh64, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter, SECTION_HEADER_BYTES,
+};
 use dvi_program::ArtifactError;
 use std::path::Path;
 
@@ -144,7 +146,8 @@ impl SweepCheckpoint {
         let mut meta = ByteReader::new(reader.section(section::META)?, "checkpoint meta");
         let trace_fingerprint = meta.u64()?;
         let turns = meta.u64()?;
-        let member_count = meta.count()?;
+        // Every member is a section of its own, header included.
+        let member_count = meta.count_within(SECTION_HEADER_BYTES, bytes.len())?;
         meta.finish()?;
         let mut members = Vec::with_capacity(member_count);
         for payload in reader.sections_with_tag(section::MEMBER) {

@@ -285,10 +285,9 @@ impl SimConfig {
 
     /// The data-side axes of this machine: what two sweep members must
     /// agree on for their L1-data-side behaviour to be interchangeable.
-    /// This is the grouping key the shared D-cache oracle is recorded
-    /// under (the data-side analogue of [`crate::batch::IcacheOracle`]'s
-    /// L1I-geometry agreement rule); see
-    /// [`crate::batch::SweepRunner::dmem_geometry_groups`]. The key
+    /// This is the key a recorded [`crate::DcacheOracle`] is valid under
+    /// (the data-side analogue of [`crate::products::IcacheOracle`]'s
+    /// L1I-geometry agreement rule). The key
     /// carries the model kind, not just the shape: a perfect-D-cache
     /// member makes different hit/miss decisions than a stock member of
     /// identical geometry.

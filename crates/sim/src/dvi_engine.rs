@@ -7,8 +7,8 @@
 //! * [`DviEngine`] — the live machinery: the Live Value Mask, the
 //!   LVM-Stack and the per-event decisions, exactly as the paper's decode
 //!   hardware makes them.
-//! * [`crate::batch::DviCursor`] — a cursor over a pre-recorded
-//!   [`crate::batch::DviOracle`] event stream. Decode-stage DVI is
+//! * [`crate::products::DviCursor`] — a cursor over a pre-recorded
+//!   [`crate::products::DviOracle`] event stream. Decode-stage DVI is
 //!   in-order and a pure function of (trace, [`DviConfig`]), so a batched
 //!   sweep records the elimination bits and reclaim masks once per
 //!   distinct DVI configuration and shares the stream across every member
@@ -22,7 +22,7 @@
 //! implementation of the decision logic serves both, so they cannot
 //! drift.
 
-use crate::batch::DviCursor;
+use crate::products::DviCursor;
 use crate::rename::{PhysReg, RenameState};
 use crate::smallvec::SmallVec;
 use dvi_core::{DviConfig, DviStats, Lvm, LvmStack};
@@ -195,7 +195,7 @@ impl DviEngine {
 
 /// The dispatch stage's view of decode-stage DVI: a private live
 /// [`DviEngine`] (the default), or a cursor over a sweep-shared
-/// [`crate::batch::DviOracle`] event stream. Both produce bit-identical
+/// [`crate::products::DviOracle`] event stream. Both produce bit-identical
 /// elimination decisions, reclaim sequences and [`DviStats`] (locked by
 /// `tests/batch_equiv.rs` and `tests/depgraph_equiv.rs`).
 #[derive(Debug)]

@@ -31,9 +31,9 @@
 //!   same memo contents and, byte for byte, the same [`crate::SimStats`]
 //!   (locked down by `tests/replay_equiv.rs`).
 
-use crate::batch::{IcacheCursor, OracleCursor};
 use crate::config::SimConfig;
 use crate::dvi_engine::{DviModel, ReclaimList};
+use crate::products::{IcacheCursor, OracleCursor};
 use crate::rename::{PhysReg, RenameState};
 use crate::stats::SimStats;
 use dvi_bpred::{CombiningPredictor, PredictorConfig, PredictorStats};
@@ -321,7 +321,7 @@ impl Decoder {
 /// width, register count or DVI scheme. A batched sweep exploits that:
 /// instead of N identical [`CombiningPredictor`]s (the largest
 /// single block of per-session state) re-deriving the same answers, one
-/// [`crate::batch::BranchOracle`] records the misprediction bitstream once
+/// [`crate::products::BranchOracle`] records the misprediction bitstream once
 /// per trace and every member replays it through an [`OracleCursor`].
 ///
 /// Both variants produce bit-identical timing and [`PredictorStats`]
@@ -386,7 +386,7 @@ impl FetchPredictor {
 
 /// The fetch stage's view of the L1 instruction cache: its own tag array
 /// in the memory hierarchy (the default), or a cursor over a shared
-/// [`crate::batch::IcacheOracle`] bitstream — the L1I is touched only at
+/// [`crate::products::IcacheOracle`] bitstream — the L1I is touched only at
 /// fetch in trace order, so its outcomes are trace-pure per geometry (see
 /// the oracle's docs). The unified-L2 interaction of a miss always happens
 /// on the session's own hierarchy.
@@ -591,7 +591,7 @@ impl FrontEnd {
     ///
     /// The predictor interaction below (which records are direction
     /// predictions, which push the RAS, which pop it, and the byte addresses
-    /// used) *is* the event sequence a [`crate::batch::BranchOracle`]
+    /// used) *is* the event sequence a [`crate::products::BranchOracle`]
     /// pre-records — `BranchOracle::record` drives a [`FetchPredictor`]
     /// through the same `match` over the same records, so the two cannot
     /// diverge without failing `tests/batch_equiv.rs`.

@@ -41,24 +41,23 @@
 //! (`SimSession::new(config, trace).run_to_completion()`).
 //!
 //! Returning control between cycles is what makes design-space sweeps
-//! batchable: [`batch::SweepRunner`] co-schedules N sessions — one per
-//! machine configuration — round-robin over **one** shared captured trace,
-//! sharing everything that is a pure function of the trace: the trace
-//! buffers, one immutable [`StaticDecodeTable`], one
-//! [`batch::BranchOracle`] misprediction bitstream in place of N private
-//! predictor table sets, one [`batch::IcacheOracle`] L1I outcome
-//! bitstream in place of N private instruction-cache tag arrays, one
-//! [`dvi_program::DepGraph`] wiring dispatch straight to producer window
-//! entries in place of N alias-table walks, and one [`batch::DviOracle`]
-//! decode-stage DVI event stream per distinct DVI configuration in place
-//! of N live LVM / LVM-Stack instances. The config-dependent residue —
-//! window, free-list occupancy and reclaim timing, data path, unified L2
-//! — stays private per member, so per-member statistics are bit-identical
-//! to serial runs (`tests/batch_equiv.rs`, `tests/depgraph_equiv.rs`).
-//! And because every shared product is immutable and `Sync`, the same
-//! sweep also runs across threads: [`batch::SweepRunner::run_parallel`]
-//! distributes members over the host's cores with statistics
-//! bit-identical at any thread count (`tests/parallel_equiv.rs`).
+//! composable: [`batch::SweepRunner`] runs N sessions — one per machine
+//! configuration — over **one** captured trace, each on plain replay
+//! through its own cursor with its own predictor, caches and DVI engine,
+//! so per-member statistics are bit-identical to serial runs
+//! (`tests/batch_equiv.rs`). Because members share nothing mutable, the
+//! same sweep also runs across threads
+//! ([`batch::SweepRunner::run_parallel`], `tests/parallel_equiv.rs`), and
+//! [`matrix::MatrixRunner`] drains many (trace × grid) cells through one
+//! work-stealing queue.
+//!
+//! The trace-pure products of [`products`] — a [`StaticDecodeTable`],
+//! branch / I-cache / DVI / D-cache oracle streams, the
+//! [`dvi_program::DepGraph`] producer links and dispatch-group fusion
+//! tables — are an explicit opt-in for one session through
+//! [`SimSession::with_shared_tables`]. They leave the statistics
+//! bit-identical (`tests/replay_equiv.rs`), but no runner builds them: a
+//! same-run A/B measured plain replay faster on the figure grids.
 //!
 //! # Host performance
 //!
@@ -76,8 +75,8 @@
 //! functional unit, source/destination registers, DVI kill masks) exactly
 //! once per static PC — see [`frontend`] for the memoization invariants.
 //! The `sim_throughput` bench reports the simulated-MIPS of every
-//! combination, and its `sweep` section measures the batched runner
-//! against the serial capture/replay loop on an 8-configuration grid.
+//! combination, and its `plain_vs_products` row repeats the A/B behind
+//! running every sweep member on plain replay.
 //!
 //! # Example
 //!
@@ -106,7 +105,7 @@
 //! while session.tick() {}
 //! assert_eq!(session.finish(), stats);
 //!
-//! // A whole register-file sweep in one batched pass over the trace.
+//! // A whole register-file sweep over the same trace.
 //! let grid = [40usize, 56, 80].map(|n| config.clone().with_phys_regs(n));
 //! let swept = batch::SweepRunner::new(&trace, grid).run();
 //! assert_eq!(swept[2], stats, "80 registers is the shorthand run above");
@@ -125,6 +124,7 @@ mod fu;
 pub mod legacy;
 pub mod matrix;
 mod pipeline;
+pub mod products;
 mod rename;
 pub mod sched;
 mod session;
@@ -132,11 +132,7 @@ mod smallvec;
 mod stats;
 mod window;
 
-pub use batch::{
-    record_dcache_oracle, sweep, sweep_parallel, BranchOracle, DcacheGroupQualification,
-    DcacheQualification, DviCursor, DviOracle, IcacheOracle, MemberOutcome, RecordedOracles,
-    SharedTables, SweepRunner, SweepSummary,
-};
+pub use batch::{sweep, sweep_parallel, MemberOutcome, SweepRunner, SweepSummary};
 pub use checkpoint::SweepCheckpoint;
 pub use config::DmemGeometry;
 pub use config::{ConfigError, DcacheModelKind, SchedulerKind, SimConfig};
@@ -146,6 +142,9 @@ pub use frontend::{DecodeKind, DecodeMemo, StaticDecode, StaticDecodeTable};
 pub use fu::FuPool;
 pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner, ShardJob, ShardResult};
 pub use pipeline::Simulator;
+pub use products::{
+    record_dcache_oracle, BranchOracle, DviCursor, DviOracle, IcacheOracle, SharedTables,
+};
 pub use rename::{PhysReg, RenameState};
 pub use session::SimSession;
 pub use smallvec::SmallVec;

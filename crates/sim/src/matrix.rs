@@ -1,47 +1,43 @@
 //! Whole-matrix (trace × config) batching with sharded execution.
 //!
-//! A [`crate::batch::SweepRunner`] amortizes the trace-pure products
-//! (decode table, branch/I-cache/DVI oracles, dependence graph, fusion
-//! tables) across the members of **one** trace's configuration grid. The
-//! figure drivers, however, sweep a whole experiment *matrix*: many
+//! The figure drivers sweep a whole experiment *matrix*: many
 //! (trace, config-grid) cells, frequently naming the same captured trace
 //! from several cells (fig05/09/10/11/13 all sweep the same benchmark
-//! mix). Run per cell, every driver rebuilds the same shared products and
-//! each cell's laggard serializes its figure.
+//! mix). Run per cell, each cell's laggard serializes its figure.
 //!
 //! [`MatrixRunner`] flattens the full matrix into one job list:
 //!
 //! * **Trace registry** — cells are deduplicated through a
-//!   fingerprint-keyed registry ([`dvi_program::CapturedTrace::fingerprint`]),
-//!   so shared products are built **exactly once per distinct trace**
-//!   across the entire matrix, no matter how many cells name it. Members
-//!   that request the same (trace, configuration) pair are deduplicated
-//!   too and fanned back out to every requesting cell.
+//!   fingerprint-keyed registry ([`dvi_program::CapturedTrace::fingerprint`]).
+//!   Members that request the same (trace, configuration) pair are
+//!   deduplicated too, simulated once and fanned back out to every
+//!   requesting cell.
 //! * **One work-stealing queue** — all members of all traces are
 //!   scheduled together: a worker that drains its own shard's queue
 //!   steals from the others, so one trace's laggard member overlaps with
 //!   another trace's members instead of serializing its cell.
 //! * **Shards** — the matrix is partitioned round-robin into
-//!   self-contained shards. In-process, each shard gets a **private
-//!   replica** of its traces and shared products (the NUMA story:
-//!   replicate read-only data per shard rather than sharing one copy
-//!   across sockets; within a shard, products stay shared). Out of
-//!   process, [`MatrixRunner::shard_jobs`] serializes each shard — trace
-//!   artifacts, config slices and expected fingerprints — into a
-//!   [`ShardJob`] that any worker process can execute with
-//!   [`ShardJob::run`], and [`MatrixRunner::merge_shard_results`] merges
-//!   the [`ShardResult`]s back in global member order.
+//!   self-contained shards. In-process, each shard above the first gets a
+//!   **private replica** of its traces (the NUMA story: replicate
+//!   read-only data per shard rather than sharing one copy across
+//!   sockets). Out of process, [`MatrixRunner::shard_jobs`] serializes
+//!   each shard — trace artifacts, config slices and expected
+//!   fingerprints — into a [`ShardJob`] that any worker process can
+//!   execute with [`ShardJob::run`], and
+//!   [`MatrixRunner::merge_shard_results`] merges the [`ShardResult`]s
+//!   back in global member order.
+//!
+//! Every member is plain replay over its trace cursor, exactly like a
+//! [`crate::batch::SweepRunner`] member.
 //!
 //! # Bit-identity merge contract
 //!
-//! Per-member statistics are a pure function of (configuration, trace,
-//! shared products), and shared products leave the modelled machine
-//! bit-identical (`tests/batch_equiv.rs`). Shard replication only copies
-//! those products, so the merged matrix is **bit-identical** to serial
-//! per-trace sweeps at any shard and thread count — `tests/matrix_equiv.rs`
-//! locks matrix == per-trace-batched == serial across heterogeneous
-//! grids, shard counts and thread counts, including the out-of-process
-//! [`ShardJob`] round trip.
+//! Per-member statistics are a pure function of (configuration, trace),
+//! so the merged matrix is **bit-identical** to serial per-trace sweeps at
+//! any shard and thread count — `tests/matrix_equiv.rs` locks matrix ==
+//! per-trace-batched == serial across heterogeneous grids, shard counts
+//! and thread counts, including the out-of-process [`ShardJob`] round
+//! trip.
 //!
 //! # Durability
 //!
@@ -55,18 +51,18 @@
 //! a killed shard resume instead of recomputing.
 
 use crate::batch::{
-    read_sim_config, run_member_outcome, write_sim_config, BranchOracle, DviOracle, IcacheOracle,
-    MemberOutcome, ParallelJob, SharedTables, SweepRunner,
+    read_sim_config, run_member_outcome, write_sim_config, MemberOutcome, ParallelJob,
 };
 use crate::checkpoint::{
     config_fingerprint, read_outcome, write_outcome, MemberCheckpoint, MemberCheckpointState,
     SweepCheckpoint,
 };
 use crate::config::SimConfig;
-use crate::frontend::StaticDecodeTable;
-use dvi_mem::DcacheOracle;
-use dvi_program::artifact::{xxh64, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter};
-use dvi_program::{ArtifactError, CapturedTrace, DepGraph, FusionTable};
+use dvi_program::artifact::{
+    write_file_atomic, xxh64, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter,
+    SECTION_HEADER_BYTES,
+};
+use dvi_program::{ArtifactError, CapturedTrace};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -218,66 +214,6 @@ impl<'a> MatrixIndex<'a> {
     }
 }
 
-/// Per-shard replica pools: deep-copies every `Arc`ed shared product
-/// exactly once per shard, keyed by source-`Arc` identity, so
-/// *within-shard* sharing is preserved (members of one trace still share
-/// one replica) while *cross-shard* sharing is severed (each shard owns a
-/// private copy of the read-only data — the NUMA replication story).
-struct TableReplicator {
-    decode: ArcPool<StaticDecodeTable>,
-    branches: ArcPool<BranchOracle>,
-    icache: ArcPool<IcacheOracle>,
-    depgraph: ArcPool<DepGraph>,
-    dvi: ArcPool<DviOracle>,
-    dcache: ArcPool<DcacheOracle>,
-    fusion: ArcPool<FusionTable>,
-}
-
-struct ArcPool<T> {
-    map: HashMap<usize, std::sync::Arc<T>>,
-}
-
-impl<T: Clone> ArcPool<T> {
-    fn new() -> ArcPool<T> {
-        ArcPool { map: HashMap::new() }
-    }
-
-    fn replicate(&mut self, src: &Option<std::sync::Arc<T>>) -> Option<std::sync::Arc<T>> {
-        src.as_ref().map(|arc| {
-            self.map
-                .entry(std::sync::Arc::as_ptr(arc) as usize)
-                .or_insert_with(|| std::sync::Arc::new(T::clone(arc)))
-                .clone()
-        })
-    }
-}
-
-impl TableReplicator {
-    fn new() -> TableReplicator {
-        TableReplicator {
-            decode: ArcPool::new(),
-            branches: ArcPool::new(),
-            icache: ArcPool::new(),
-            depgraph: ArcPool::new(),
-            dvi: ArcPool::new(),
-            dcache: ArcPool::new(),
-            fusion: ArcPool::new(),
-        }
-    }
-
-    fn replicate(&mut self, tables: &SharedTables) -> SharedTables {
-        SharedTables {
-            decode: self.decode.replicate(&tables.decode),
-            branches: self.branches.replicate(&tables.branches),
-            icache: self.icache.replicate(&tables.icache),
-            depgraph: self.depgraph.replicate(&tables.depgraph),
-            dvi: self.dvi.replicate(&tables.dvi),
-            dcache: self.dcache.replicate(&tables.dcache),
-            fusion: self.fusion.replicate(&tables.fusion),
-        }
-    }
-}
-
 /// Observability counters of one matrix run (surfaced through the sweep
 /// service's `/metrics`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,11 +230,11 @@ pub struct MatrixReport {
     pub trace_reuse_hits: u64,
     /// Grid slots that mapped onto an already-registered member.
     pub member_dedup_hits: u64,
-    /// Shared-product build passes actually run — exactly one per distinct
+    /// Distinct traces this run had work for — exactly one per distinct
     /// trace with at least one non-restored member.
     pub shared_builds: u64,
-    /// Requested grid slots that consumed shared products without
-    /// triggering a build pass (`requested_members - shared_builds`).
+    /// Requested grid slots beyond the first of their trace
+    /// (`requested_members - shared_builds`).
     pub build_reuse_hits: u64,
     /// Worker threads used.
     pub threads: usize,
@@ -394,7 +330,7 @@ impl<'a> MatrixRunner<'a> {
     }
 
     /// Shard count (clamped to `1..=members` at run time). Shards above 1
-    /// replicate each shard's traces and shared products privately.
+    /// replicate each shard's traces privately.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -451,7 +387,7 @@ impl<'a> MatrixRunner<'a> {
         let threads = self.threads.clamp(1, n.max(1));
 
         // Resume: restore finished members from any valid per-trace
-        // snapshot before deciding what to build.
+        // snapshot before deciding what to run.
         let mut restored: Vec<Option<MemberOutcome>> = vec![None; n];
         let mut trace_paths: Vec<Option<PathBuf>> = vec![None; index.traces.len()];
         if let Some(dir) = &self.checkpoint_dir {
@@ -485,69 +421,36 @@ impl<'a> MatrixRunner<'a> {
             }
         }
         let resumed_members = restored.iter().filter(|r| r.is_some()).count() as u64;
-
-        // Build shared products exactly once per distinct trace that
-        // still has work, and flatten every member into a standalone job.
-        let mut jobs: Vec<Option<ParallelJob>> = vec![None; n];
-        let mut shared_builds = 0u64;
-        for t in 0..index.traces.len() {
-            let ids = index.trace_members(t);
-            if ids.is_empty() {
-                continue;
-            }
-            if ids.iter().all(|&id| restored[id].is_some()) {
-                // Fully restored: pass the outcomes through without
-                // paying for a shared-product build.
-                for &id in &ids {
-                    jobs[id] = Some(ParallelJob {
-                        config: index.members[id].config.clone(),
-                        tables: SharedTables::default(),
-                        degraded: None,
-                        fault: None,
-                        done: restored[id].clone(),
-                    });
-                }
-                continue;
-            }
-            let configs: Vec<SimConfig> =
-                ids.iter().map(|&id| index.members[id].config.clone()).collect();
-            shared_builds += 1;
-            let (_trace, trace_jobs) =
-                SweepRunner::new(index.traces[t], configs).into_parallel_jobs();
-            for (&id, mut job) in ids.iter().zip(trace_jobs) {
-                if let Some(done) = &restored[id] {
-                    job.done = Some(done.clone());
-                }
-                jobs[id] = Some(job);
-            }
-        }
-        let mut jobs: Vec<ParallelJob> = jobs
-            .into_iter()
-            .map(|j| j.expect("every member belongs to exactly one trace"))
+        let shared_builds = (0..index.traces.len())
+            .filter(|&t| index.trace_members(t).iter().any(|&id| restored[id].is_none()))
+            .count() as u64;
+        let jobs: Vec<ParallelJob> = index
+            .members
+            .iter()
+            .zip(restored)
+            .map(|(entry, done)| ParallelJob { done, ..ParallelJob::new(entry.config.clone()) })
             .collect();
 
         // Shard assignment (round-robin over global member order) and,
-        // above one shard, per-shard replication of traces and shared
-        // products.
+        // above one shard, per-shard replication of the traces.
         let shard_of: Vec<usize> = (0..n).map(|i| i % shards).collect();
         let mut replicas: Vec<CapturedTrace> = Vec::new();
-        let mut member_trace: Vec<TraceSlot> = Vec::with_capacity(n);
-        if shards > 1 {
+        let member_trace: Vec<TraceSlot> = if shards > 1 {
             let mut replica_of: HashMap<(usize, usize), usize> = HashMap::new();
-            let mut replicators: Vec<TableReplicator> =
-                (0..shards).map(|_| TableReplicator::new()).collect();
-            for i in 0..n {
-                let (s, t) = (shard_of[i], index.members[i].trace_idx);
-                let r = *replica_of.entry((s, t)).or_insert_with(|| {
-                    replicas.push(index.traces[t].clone());
-                    replicas.len() - 1
-                });
-                member_trace.push(TraceSlot::Replica(r));
-                jobs[i].tables = replicators[s].replicate(&jobs[i].tables);
-            }
+            shard_of
+                .iter()
+                .zip(&index.members)
+                .map(|(&s, entry)| {
+                    let t = entry.trace_idx;
+                    TraceSlot::Replica(*replica_of.entry((s, t)).or_insert_with(|| {
+                        replicas.push(index.traces[t].clone());
+                        replicas.len() - 1
+                    }))
+                })
+                .collect()
         } else {
-            member_trace.extend((0..n).map(|i| TraceSlot::Shared(index.members[i].trace_idx)));
-        }
+            index.members.iter().map(|entry| TraceSlot::Shared(entry.trace_idx)).collect()
+        };
 
         // One queue per shard; workers drain their home shard first and
         // steal from the others once it is empty.
@@ -744,7 +647,7 @@ impl<'a> MatrixRunner<'a> {
                 context: format!("shard results leave member {missing} unreported"),
             });
         }
-        // Out of process, every shard builds its own shared products — the
+        // Out of process, every shard decodes its own traces — the
         // replication story — so builds count one per (shard, trace) pair.
         let mut shard_builds = 0u64;
         let mut shard_members = vec![0usize; shards];
@@ -898,14 +801,15 @@ impl ShardJob {
         let mut meta = ByteReader::new(reader.section(job_section::META)?, "shard job meta");
         let shard_index = meta.u64()?;
         let shard_count = meta.u64()?;
-        let trace_count = meta.count()?;
-        let member_count = meta.count()?;
+        // Every trace and member is a section of its own, header included.
+        let trace_count = meta.count_within(SECTION_HEADER_BYTES, bytes.len())?;
+        let member_count = meta.count_within(SECTION_HEADER_BYTES, bytes.len())?;
         meta.finish()?;
         let mut traces = Vec::with_capacity(trace_count);
         for payload in reader.sections_with_tag(job_section::TRACE) {
             let mut b = ByteReader::new(payload, "shard job trace");
             let fingerprint = b.u64()?;
-            let len = b.count()?;
+            let len = b.count_of(1)?;
             let bytes = b.bytes(len)?.to_vec();
             b.finish()?;
             traces.push(ShardTrace { fingerprint, bytes });
@@ -957,14 +861,7 @@ impl ShardJob {
     ///
     /// [`ArtifactError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        let bytes = self.to_bytes();
-        let io = |e: std::io::Error| ArtifactError::Io(e.to_string());
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &bytes).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)?;
-        Ok(())
+        write_file_atomic(path, &self.to_bytes())
     }
 
     /// Loads a job saved by [`ShardJob::save`].
@@ -983,10 +880,9 @@ impl ShardJob {
         dir.join(format!("shard{:04}-{trace_fp:016x}.dviswpck", self.shard_index))
     }
 
-    /// Executes the shard: decodes and fingerprint-verifies its traces,
-    /// builds shared products once per embedded trace (the per-shard
-    /// replication contract), and runs every member inside the standard
-    /// panic boundary. With `checkpoint_dir`, progress persists per
+    /// Executes the shard: decodes and fingerprint-verifies its traces
+    /// (the per-shard replication contract), and runs every member inside
+    /// the standard panic boundary. With `checkpoint_dir`, progress persists per
     /// (shard, trace) after every member and a rerun resumes finished
     /// members verbatim — a killed shard resumes bit-identically.
     ///
@@ -1040,15 +936,9 @@ impl ShardJob {
                     }
                 }
             }
-            let configs: Vec<SimConfig> =
-                positions.iter().map(|&k| self.members[k].config.clone()).collect();
-            let (_trace, mut jobs) = SweepRunner::new(trace, configs).into_parallel_jobs();
-            for (job, done) in jobs.iter_mut().zip(&restored) {
-                if let Some(done) = done {
-                    job.done = Some(done.clone());
-                }
-            }
-            for (slot, job) in positions.iter().zip(jobs) {
+            for (slot, done) in positions.iter().zip(restored) {
+                let job =
+                    ParallelJob { done, ..ParallelJob::new(self.members[*slot].config.clone()) };
                 outcomes[*slot] = Some(run_member_outcome(trace, job));
                 if let Some(path) = &path {
                     let members = positions
@@ -1146,7 +1036,7 @@ impl ShardResult {
         let reader = ArtifactReader::parse(bytes, SHARD_RESULT_MAGIC, SHARD_RESULT_VERSION)?;
         let mut meta = ByteReader::new(reader.section(result_section::META)?, "shard result meta");
         let shard_index = meta.u64()?;
-        let member_count = meta.count()?;
+        let member_count = meta.count_within(SECTION_HEADER_BYTES, bytes.len())?;
         meta.finish()?;
         let mut members = Vec::with_capacity(member_count);
         for payload in reader.sections_with_tag(result_section::MEMBER) {
@@ -1174,14 +1064,7 @@ impl ShardResult {
     ///
     /// [`ArtifactError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        let io = |e: std::io::Error| ArtifactError::Io(e.to_string());
-        let bytes = self.to_bytes();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &bytes).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)?;
-        Ok(())
+        write_file_atomic(path, &self.to_bytes())
     }
 
     /// Loads a result saved by [`ShardResult::save`].

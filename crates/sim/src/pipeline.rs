@@ -38,11 +38,11 @@
 //! `depgraph_equiv`) and the golden figures lock the statistics
 //! bit-for-bit.
 
-use crate::batch::{DviCursor, IcacheCursor, OracleCursor, SharedTables};
 use crate::config::{DcacheModelKind, SchedulerKind, SimConfig};
 use crate::dvi_engine::{DviEngine, DviModel};
 use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
+use crate::products::{DviCursor, IcacheCursor, OracleCursor, SharedTables};
 use crate::rename::RenameState;
 use crate::sched::{Calendar, ReadyRing, Waiters};
 use crate::session::SimSession;
@@ -248,7 +248,7 @@ pub(crate) struct Core {
     ports: CachePorts,
     fu: FuPool,
     /// Fetch-stage branch prediction: a private live predictor, or a
-    /// cursor over a sweep-shared [`crate::batch::BranchOracle`].
+    /// cursor over a sweep-shared [`crate::products::BranchOracle`].
     pred: FetchPredictor,
     window: WindowRing,
     /// The shared in-order front end (fetch queue, redirect state machine,

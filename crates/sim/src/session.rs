@@ -11,9 +11,9 @@
 //! [`crate::batch::SweepRunner`] interleaves dozens of sessions over one
 //! shared captured trace, something a run-to-completion API cannot express.
 
-use crate::batch::SharedTables;
 use crate::config::SimConfig;
 use crate::pipeline::{Core, PROGRESS_LIMIT};
+use crate::products::SharedTables;
 use crate::stats::{DeadlockReport, ProgressStage, SimStats};
 use dvi_program::InstrSource;
 
@@ -79,9 +79,9 @@ impl<S: InstrSource> SimSession<S> {
     /// private L1D tag array (valid only for members that reproduce the
     /// recording member's exact data-access stream — the replay cursor
     /// checks every access and panics on divergence rather than replay
-    /// wrong outcomes). All leave the modelled machine bit-identical;
-    /// [`crate::batch::SweepRunner`] uses this to share the products
-    /// across every member of a sweep.
+    /// wrong outcomes). All leave the modelled machine bit-identical.
+    /// This is the only way products enter a session: the sweep, matrix
+    /// and service runners all build sessions with [`SimSession::new`].
     ///
     /// The dependence graph and DVI oracle must have been built from the
     /// same captured trace the session replays (their event streams are

@@ -59,8 +59,8 @@ pub struct SimStats {
 /// How often the fused dispatch fast path carried the run versus falling
 /// back to the cycle-accurate slow loop. These counters describe the *host*
 /// execution strategy (which code path dispatched a record), never the
-/// simulated machine — a grid that mostly falls back is *visible* here
-/// (service `/metrics`, CLI `status`) instead of silently slow.
+/// simulated machine — a session that mostly falls back is *visible*
+/// here instead of silently slow. They stay zero on plain replay.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FusionCounters {
     /// Fusion groups dispatched whole by the fast path.

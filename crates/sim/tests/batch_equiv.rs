@@ -1,16 +1,14 @@
 //! Batched-sweep differential tests.
 //!
 //! `SweepRunner` co-schedules N sessions over one shared captured trace,
-//! sharing the static-decode table and (when the members agree on a
-//! predictor configuration) the branch-oracle bitstream. All of that must
-//! be *invisible*: per-member `SimStats` are bit-identical to running each
+//! each on plain replay through its own cursor. The co-scheduling must be
+//! *invisible*: per-member `SimStats` are bit-identical to running each
 //! configuration serially with `Simulator::run(trace.replay())`. These
 //! tests lock that down:
 //!
 //! * across the full Figure 10 workload mix with an 8+-configuration grid
 //!   (the acceptance shape of the batched runner);
-//! * with a heterogeneous-predictor grid, exercising the fall-back to
-//!   private live predictors;
+//! * with a heterogeneous-predictor grid;
 //! * across randomly sampled workload presets, seeds and machine grids
 //!   (register-file size, cache ports, DVI scheme, issue width), via
 //!   proptest — extending the `replay_equiv.rs` pattern one level up.
@@ -49,7 +47,7 @@ fn assert_batch_equivalent(trace: &CapturedTrace, grid: &[SimConfig], context: &
 
 /// A grid in the shape the paper's sweeps use: register-file sizes, DVI
 /// schemes, cache ports and issue widths over one machine family, all
-/// sharing the Figure 2 predictor (so the branch oracle is shared too).
+/// sharing the Figure 2 predictor.
 fn paper_grid() -> Vec<SimConfig> {
     vec![
         SimConfig::micro97(),
@@ -98,7 +96,7 @@ fn heterogeneous_predictor_grid_matches_serial_replays() {
     assert_batch_equivalent(&trace, &grid, "heterogeneous predictors");
 }
 
-/// A single-member sweep is just a replay with shared tables.
+/// A single-member sweep is just a replay.
 #[test]
 fn single_member_sweep_matches_plain_replay() {
     let layout = edvi_layout(&WorkloadSpec::small("solo", 11));
@@ -110,54 +108,25 @@ fn single_member_sweep_matches_plain_replay() {
     );
 }
 
-/// A grid that disagrees on the DVI axis, the fig05/fig06 shape: two DVI
-/// configurations populous enough to earn their own recorded oracles plus
-/// a singleton that must fall back to a live engine — all bit-identical to
+/// A grid that disagrees on the DVI axis, the fig05/fig06 shape: two
+/// populous DVI configurations plus a singleton — all bit-identical to
 /// serial replays.
 #[test]
 fn dvi_axis_grid_shares_per_group_oracles_and_matches_serial() {
     let layout = edvi_layout(&presets::perl_like());
     let trace = CapturedTrace::record(&layout, 12_000);
     let mut grid = Vec::new();
-    // Group 1: full DVI across register-file sizes (one oracle).
+    // Group 1: full DVI across register-file sizes.
     for regs in [34usize, 48, 80] {
         grid.push(SimConfig::micro97().with_phys_regs(regs).with_dvi(DviConfig::full()));
     }
-    // Group 2: no DVI across the same sizes (a second oracle).
+    // Group 2: no DVI across the same sizes.
     for regs in [34usize, 48, 80] {
         grid.push(SimConfig::micro97().with_phys_regs(regs));
     }
-    // Singleton: below the amortization threshold, falls back to a
-    // private live engine.
+    // Singleton.
     grid.push(SimConfig::micro97().with_dvi(DviConfig::idvi_only()));
     assert_batch_equivalent(&trace, &grid, "DVI-axis grid");
-}
-
-/// The oracle-recording amortization threshold is a builder option: with a
-/// threshold of 1 every product (including singleton DVI groups) is
-/// recorded, with `usize::MAX` no oracle is — both remain bit-identical to
-/// serial replays, since sharing is a host-time policy only.
-#[test]
-fn oracle_threshold_option_is_invisible_to_the_modelled_machine() {
-    let layout = edvi_layout(&WorkloadSpec::small("threshold", 23));
-    let trace = CapturedTrace::record(&layout, 8_000);
-    let grid = [
-        SimConfig::micro97().with_dvi(DviConfig::full()),
-        SimConfig::micro97().with_dvi(DviConfig::lvm_scheme()),
-        SimConfig::micro97(),
-    ];
-    let serial: Vec<SimStats> =
-        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    for threshold in [1, usize::MAX] {
-        let batched =
-            SweepRunner::new(&trace, grid.iter().cloned()).with_oracle_min_members(threshold).run();
-        assert_eq!(
-            batched, serial,
-            "threshold {threshold}: batched stats diverge from serial replays"
-        );
-    }
-    let no_depgraph = SweepRunner::new(&trace, grid.iter().cloned()).without_depgraph().run();
-    assert_eq!(no_depgraph, serial, "depgraph opt-out diverges from serial replays");
 }
 
 fn dvi_scheme(index: u8) -> DviConfig {

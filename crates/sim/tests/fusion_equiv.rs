@@ -5,33 +5,34 @@
 //! members of each group depend on each other — so the back end can push
 //! whole groups into the window per table lookup instead of re-deriving the
 //! same decisions record by record, falling back to the cycle-accurate loop
-//! at every structural-hazard or oracle-event boundary. The contract this
-//! suite locks is the purity invariant:
+//! at every structural-hazard or oracle-event boundary. Fusion is an
+//! explicit opt-in for one session (`SimSession::with_shared_tables`, next
+//! to the dependence graph and the oracles it travels with). The contract
+//! this suite locks is the purity invariant:
 //!
-//! * **bit-identity** — fused sweeps produce `SimStats` bit-identical to
-//!   `without_fusion()` sweeps and to serial `Simulator::run(trace.replay())`
-//!   runs, across the full Figure 10 workload mix with a heterogeneous grid
-//!   (mixed decode widths, starved windows and register files, a naive-scan
-//!   member that never fuses) and across random presets × grids × thread
-//!   counts (proptest);
+//! * **bit-identity** — fused sessions produce `SimStats` bit-identical to
+//!   the same products without the fusion table and to serial
+//!   `Simulator::run(trace.replay())` runs, across the full Figure 10
+//!   workload mix with a heterogeneous grid (mixed decode widths, starved
+//!   windows and register files, a naive-scan member that never fuses) and
+//!   across random presets × grids × threads (proptest);
 //! * **honest fallback** — machines whose structural hazards interrupt
 //!   groups mid-dispatch take the slow loop exactly there, visible in
 //!   `SimStats::fusion` (fused *and* fallback records both non-zero), with
 //!   statistics still bit-identical;
-//! * **graceful degradation** — a stale recorded bundle (wrong trace
-//!   fingerprint) degrades members to live runs with *correct* statistics,
-//!   and a bundle whose fusion table indexes a different trace length is
-//!   dropped in favour of a live rebuild — wrong statistics are the one
-//!   unacceptable outcome, a missing table only costs host time.
+//! * **round trip** — a fusion table serialized and parsed back drives
+//!   sessions exactly as the table it came from.
 
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
-use dvi_program::{CapturedTrace, LayoutProgram};
+use dvi_program::{CapturedTrace, DepGraph, FusionTable, LayoutProgram};
 use dvi_sim::{
-    MemberOutcome, RecordedOracles, SchedulerKind, SimConfig, SimStats, Simulator, SweepRunner,
+    BranchOracle, DviOracle, IcacheOracle, SchedulerKind, SharedTables, SimConfig, SimSession,
+    SimStats, Simulator, StaticDecodeTable,
 };
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn edvi_layout(spec: &WorkloadSpec) -> LayoutProgram {
     let program = dvi_workloads::generate(spec);
@@ -60,39 +61,64 @@ fn heterogeneous_grid() -> Vec<SimConfig> {
     ]
 }
 
-/// Asserts one fused batched pass, one `without_fusion()` batched pass and
+/// Every product a session of `config` can consume over `trace`: the
+/// decode table, the three trace-order oracles, the dependence graph and —
+/// when `fusion` is set and the width has a table — the fusion table.
+fn products(
+    trace: &CapturedTrace,
+    graph: &Arc<DepGraph>,
+    config: &SimConfig,
+    fusion: bool,
+) -> SharedTables {
+    let width = config.decode_width;
+    SharedTables {
+        decode: Some(Arc::new(StaticDecodeTable::for_trace(trace))),
+        branches: Some(Arc::new(BranchOracle::record(trace, config.predictor))),
+        icache: Some(Arc::new(IcacheOracle::record(trace, config.icache))),
+        depgraph: Some(Arc::clone(graph)),
+        dvi: Some(Arc::new(DviOracle::record(trace, config.dvi))),
+        dcache: None,
+        fusion: (fusion && (1..=FusionTable::MAX_WIDTH).contains(&width))
+            .then(|| FusionTable::build_shared(trace, graph, width)),
+    }
+}
+
+fn run_with(trace: &CapturedTrace, config: &SimConfig, tables: SharedTables) -> SimStats {
+    SimSession::with_shared_tables(config.clone(), trace.cursor(), tables).run_to_completion()
+}
+
+/// Asserts fused sessions, unfused sessions over the same products and
 /// per-config serial replays all agree bit for bit, and returns the fused
-/// outcomes for counter inspection.
+/// statistics for counter inspection.
 fn assert_fusion_equivalent(
     trace: &CapturedTrace,
     grid: &[SimConfig],
     context: &str,
-) -> Vec<MemberOutcome> {
-    let fused = SweepRunner::new(trace, grid.iter().cloned()).run_outcomes();
-    let unfused = SweepRunner::new(trace, grid.iter().cloned()).without_fusion().run_outcomes();
-    assert_eq!(fused.len(), grid.len());
-    let serial: Vec<SimStats> =
-        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    for (i, ((fused, unfused), serial)) in fused.iter().zip(&unfused).zip(&serial).enumerate() {
-        assert!(fused.is_complete(), "{context}: fused member {i} did not complete: {fused}");
-        assert_eq!(
-            fused.stats(),
-            Some(serial),
-            "{context}: fused batched stats diverge from the serial replay for grid member {i}"
-        );
-        assert_eq!(
-            unfused.stats(),
-            Some(serial),
-            "{context}: unfused batched stats diverge from the serial replay for grid member {i}"
-        );
-        let off = unfused.stats().expect("complete above").fusion;
-        assert_eq!(
-            off.fused_records + off.fallback_records,
-            0,
-            "{context}: a without_fusion() member must never touch the fusion counters"
-        );
-    }
-    fused
+) -> Vec<SimStats> {
+    let graph = Arc::new(DepGraph::build(trace));
+    grid.iter()
+        .enumerate()
+        .map(|(i, config)| {
+            let serial = Simulator::new(config.clone()).run(trace.replay());
+            let fused = run_with(trace, config, products(trace, &graph, config, true));
+            let unfused = run_with(trace, config, products(trace, &graph, config, false));
+            assert_eq!(
+                fused, serial,
+                "{context}: fused stats diverge from the serial replay for grid member {i}"
+            );
+            assert_eq!(
+                unfused, serial,
+                "{context}: unfused stats diverge from the serial replay for grid member {i}"
+            );
+            assert!(!fused.deadlocked, "{context}: member {i} hit the deadlock watchdog");
+            assert_eq!(
+                unfused.fusion.fused_records + unfused.fusion.fallback_records,
+                0,
+                "{context}: a member without a fusion table must never touch the fusion counters"
+            );
+            fused
+        })
+        .collect()
 }
 
 /// The acceptance-criterion test: across the Figure 10 workload mix and the
@@ -108,10 +134,9 @@ fn fig10_mix_fused_sweep_is_bit_identical_to_unfused_and_serial() {
         let trace = CapturedTrace::record(&layout, STEPS);
         assert!(!trace.is_empty(), "{}: capture produced an empty trace", spec.name);
         let fused = assert_fusion_equivalent(&trace, &grid, &spec.name);
-        let total_fused: u64 =
-            fused.iter().filter_map(|o| o.stats()).map(|s| s.fusion.fused_records).sum();
+        let total_fused: u64 = fused.iter().map(|s| s.fusion.fused_records).sum();
         assert!(total_fused > 0, "{}: the fast path never engaged on the fused sweep", spec.name);
-        let naive = fused[6].stats().expect("naive member completes").fusion;
+        let naive = fused[6].fusion;
         assert_eq!(
             naive.fused_records + naive.fallback_records,
             0,
@@ -138,8 +163,8 @@ fn forced_fallback_boundaries_stay_bit_identical() {
         SimConfig::micro97().with_phys_regs(36).with_dvi(DviConfig::full()),
     ];
     let fused = assert_fusion_equivalent(&trace, &starved, "starved grid");
-    for (i, outcome) in fused.iter().enumerate() {
-        let counters = outcome.stats().expect("member completes").fusion;
+    for (i, stats) in fused.iter().enumerate() {
+        let counters = stats.fusion;
         assert!(
             counters.fallback_records > 0,
             "starved member {i} should hit structural-hazard fallbacks, got {counters:?}"
@@ -152,98 +177,31 @@ fn forced_fallback_boundaries_stay_bit_identical() {
     }
 }
 
-/// A recorded bundle from a *different* trace must degrade every member to
-/// a live run with correct statistics — the stale fusion table (like the
-/// stale oracles it travels with) stops helping, never starts lying.
-#[test]
-fn stale_fusion_bundle_degrades_to_live_with_correct_stats() {
-    let trace = CapturedTrace::record(&edvi_layout(&WorkloadSpec::small("fusion-live", 5)), 8_000);
-    let mut other = CapturedTrace::record(&edvi_layout(&presets::perl_like()), 8_000);
-    assert_ne!(other.fingerprint(), trace.fingerprint(), "distinct traces for the stale check");
-    let bundle =
-        RecordedOracles::record(&other, None, None, &[]).with_fusion(other.build_fusion(4));
-
-    let grid = [SimConfig::micro97(), SimConfig::micro97().with_dvi(DviConfig::full())];
-    let outcomes = SweepRunner::new(&trace, grid.iter().cloned())
-        .with_recorded_oracles(&bundle)
-        .run_outcomes();
-    let serial: Vec<SimStats> =
-        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    for (i, (outcome, serial)) in outcomes.iter().zip(&serial).enumerate() {
-        let MemberOutcome::Degraded { stats, reason } = outcome else {
-            panic!("member {i} should degrade on the stale bundle, got: {outcome}");
-        };
-        assert!(
-            reason.contains("different trace"),
-            "member {i}: degradation reason should name the stale bundle, got: {reason}"
-        );
-        assert_eq!(stats, serial, "member {i}: degraded retry must match the serial replay");
-    }
-}
-
-/// A bundle whose fingerprint matches but whose fusion table was built
-/// from a shorter recording (e.g. a truncated capture of the same program)
-/// must not be replayed — its group lengths would index past the trace.
-/// The runner drops the mismatched table and rebuilds live: members stay
-/// `Ok` (not even degraded) with bit-identical statistics and the fast
-/// path still engages on the rebuilt table.
-#[test]
-fn wrong_length_fusion_table_is_dropped_for_a_live_rebuild() {
-    let layout = edvi_layout(&presets::perl_like());
-    let trace = CapturedTrace::record(&layout, 10_000);
-    let mut short = CapturedTrace::record(&layout, 2_000);
-    assert!(short.len() < trace.len());
-    let bundle =
-        RecordedOracles::record(&trace, None, None, &[]).with_fusion(short.build_fusion(4));
-
-    let grid = [SimConfig::micro97(), SimConfig::micro97().with_phys_regs(48)];
-    let outcomes = SweepRunner::new(&trace, grid.iter().cloned())
-        .with_recorded_oracles(&bundle)
-        .run_outcomes();
-    let serial: Vec<SimStats> =
-        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    for (i, (outcome, serial)) in outcomes.iter().zip(&serial).enumerate() {
-        let MemberOutcome::Ok(stats) = outcome else {
-            panic!("member {i} should run cleanly on the live-rebuilt table, got: {outcome}");
-        };
-        assert_eq!(stats, serial, "member {i} diverges from the serial replay");
-        assert!(
-            stats.fusion.fused_records > 0,
-            "member {i}: the live-rebuilt table should still drive the fast path"
-        );
-    }
-}
-
-/// Fusion survives the artifact round trip: a bundle carrying tables for
-/// both grid widths replays them into a sweep with statistics bit-identical
-/// to serial runs, and the fast path engages for both widths.
+/// Fusion survives serialization: tables for both grid widths, written
+/// out and parsed back, drive sessions with statistics bit-identical to
+/// serial runs, and the fast path engages for both widths.
 #[test]
 fn recorded_fusion_tables_drive_the_sweep_after_a_round_trip() {
     let layout = edvi_layout(&presets::gcc_like());
-    let mut trace = CapturedTrace::record(&layout, 10_000);
-    let bundle = RecordedOracles::record(&trace, None, None, &[])
-        .with_fusion(trace.build_fusion(4))
-        .with_fusion(trace.build_fusion(8));
-    let loaded = RecordedOracles::from_bytes(&bundle.to_bytes(), Some(trace.fingerprint()))
-        .expect("a clean bundle loads");
-    assert_eq!(loaded.fusion().len(), 2);
-
+    let trace = CapturedTrace::record(&layout, 10_000);
+    let graph = Arc::new(DepGraph::build(&trace));
     let grid = [
         SimConfig::micro97(),
         SimConfig::micro97().with_issue_width(8),
         SimConfig::micro97().with_dvi(DviConfig::full()),
     ];
-    let outcomes = SweepRunner::new(&trace, grid.iter().cloned())
-        .with_recorded_oracles(&loaded)
-        .run_outcomes();
-    let serial: Vec<SimStats> =
-        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    for (i, (outcome, serial)) in outcomes.iter().zip(&serial).enumerate() {
-        let MemberOutcome::Ok(stats) = outcome else {
-            panic!("member {i} should replay the bundled tables cleanly, got: {outcome}");
+    for (i, config) in grid.iter().enumerate() {
+        let built = FusionTable::build(&trace, &graph, config.decode_width);
+        let loaded = FusionTable::from_bytes(&built.to_bytes()).expect("a clean table parses");
+        assert_eq!(loaded.to_bytes(), built.to_bytes(), "member {i}: the round trip is exact");
+        let tables = SharedTables {
+            fusion: Some(Arc::new(loaded)),
+            ..products(&trace, &graph, config, false)
         };
+        let stats = run_with(&trace, config, tables);
+        let serial = Simulator::new(config.clone()).run(trace.replay());
         assert_eq!(stats, serial, "member {i} diverges from the serial replay");
-        assert!(stats.fusion.fused_records > 0, "member {i}: bundled table should engage");
+        assert!(stats.fusion.fused_records > 0, "member {i}: the parsed table should engage");
     }
 }
 
@@ -292,21 +250,31 @@ proptest! {
         let layout = edvi_layout(&spec);
         let trace = CapturedTrace::record(&layout, 2_000);
         let grid: Vec<SimConfig> = members.into_iter().map(grid_member).collect();
-        let serial: Vec<SimStats> = grid
-            .iter()
-            .map(|config| Simulator::new(config.clone()).run(trace.replay()))
-            .collect();
-        let outcomes = SweepRunner::new(&trace, grid.iter().cloned())
-            .run_parallel_threads_outcomes(threads);
-        for (i, (outcome, serial)) in outcomes.iter().zip(&serial).enumerate() {
-            prop_assert!(
-                outcome.is_complete(),
-                "{}: member {i} did not complete: {outcome}", spec.name
-            );
+        let graph = Arc::new(DepGraph::build(&trace));
+        let fused: Vec<SimStats> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (trace, graph, grid) = (&trace, &graph, &grid);
+                    scope.spawn(move || {
+                        grid.iter()
+                            .enumerate()
+                            .filter(|(i, _)| i % threads == t)
+                            .map(|(i, config)| (i, run_with(trace, config, products(trace, graph, config, true))))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let mut all: Vec<(usize, SimStats)> =
+                workers.into_iter().flat_map(|w| w.join().expect("worker completes")).collect();
+            all.sort_by_key(|(i, _)| *i);
+            all.into_iter().map(|(_, stats)| stats).collect()
+        });
+        for (i, (fused, config)) in fused.iter().zip(&grid).enumerate() {
+            let serial = Simulator::new(config.clone()).run(trace.replay());
             prop_assert_eq!(
-                outcome.stats(),
-                Some(serial),
-                "{}: fused member {i} diverges from the serial replay", spec.name
+                fused,
+                &serial,
+                "{}: fused member {} diverges from the serial replay", spec.name, i
             );
         }
     }

@@ -4,8 +4,8 @@
 //! worker threads; `run_parallel_threads` pins the worker count. Both must
 //! be *invisible*: per-member `SimStats` bit-identical to the serial
 //! co-scheduled runner (`SweepRunner::run`) and to plain serial replays,
-//! at **any** thread count — determinism is structural (members share only
-//! immutable `Arc`ed products), not a property of the schedule. These
+//! at **any** thread count — determinism is structural (members share
+//! only the immutable trace), not a property of the schedule. These
 //! tests lock that down:
 //!
 //! * across the full Figure 10 workload mix with a heterogeneous 9-point
@@ -19,7 +19,7 @@
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, LayoutProgram};
-use dvi_sim::{SimConfig, SimStats, Simulator, SweepRunner};
+use dvi_sim::{DmemGeometry, SimConfig, SimStats, Simulator, SweepRunner};
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -104,31 +104,26 @@ fn oversubscribed_thread_count_is_clamped() {
     assert!(empty.is_empty());
 }
 
-/// Builder options (oracle threshold, depgraph opt-out) compose with the
-/// parallel runner and stay invisible to the modelled machine.
-#[test]
-fn builder_options_compose_with_run_parallel() {
-    let layout = edvi_layout(&WorkloadSpec::small("compose", 29));
-    let trace = CapturedTrace::record(&layout, 8_000);
-    let grid = [
-        SimConfig::micro97().with_dvi(DviConfig::full()),
-        SimConfig::micro97().with_dvi(DviConfig::full()).with_phys_regs(40),
-        SimConfig::micro97(),
-    ];
-    let serial: Vec<SimStats> =
-        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    let forced =
-        SweepRunner::new(&trace, grid.iter().cloned()).with_oracle_min_members(1).run_parallel();
-    assert_eq!(forced, serial);
-    let bare =
-        SweepRunner::new(&trace, grid.iter().cloned()).without_depgraph().run_parallel_threads(2);
-    assert_eq!(bare, serial);
+/// Clusters grid members by [`SimConfig::dmem_geometry`], in order of
+/// first appearance: `(key, member indices)` per group.
+fn dmem_geometry_groups(grid: &[SimConfig]) -> Vec<(DmemGeometry, Vec<usize>)> {
+    let mut groups: Vec<(DmemGeometry, Vec<usize>)> = Vec::new();
+    for (i, config) in grid.iter().enumerate() {
+        let key = config.dmem_geometry();
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((key, vec![i])),
+        }
+    }
+    groups
 }
 
-/// `dmem_geometry_groups` clusters members exactly by the data-side axes
-/// (L1D model + L1D + L2 + memory latency) and ignores everything else —
-/// the agreement rule the shared D-cache oracle is recorded under
+/// The data-side grouping key clusters members exactly by the data-side
+/// axes (L1D model + L1D + L2 + memory latency) and ignores everything
+/// else — the agreement rule a D-cache oracle is recorded under
 /// (`tests/dcache_equiv.rs` locks the model axis and the oracle itself).
+/// The key never reaches the runner: the grid still sweeps in parallel
+/// bit-identically to serial replays.
 #[test]
 fn dmem_geometry_groups_cluster_by_data_side_axes() {
     let layout = edvi_layout(&WorkloadSpec::small("geometry", 3));
@@ -149,16 +144,16 @@ fn dmem_geometry_groups_cluster_by_data_side_axes() {
         slow_memory.clone(),                              // group 2
         small_dcache.clone(),                             // group 1
     ];
-    let runner = SweepRunner::new(&trace, grid);
-    let groups = runner.dmem_geometry_groups();
+    let groups = dmem_geometry_groups(&grid);
     assert_eq!(groups.len(), 3);
     assert_eq!(groups[0].1, vec![0, 1, 3]);
     assert_eq!(groups[1].1, vec![2, 5]);
     assert_eq!(groups[2].1, vec![4]);
     assert_eq!(groups[1].0, small_dcache.dmem_geometry());
     assert_eq!(groups[2].0.memory_latency, 100);
-    // Grouping is a read-only query: the sweep still runs afterwards.
-    assert_eq!(runner.run_parallel().len(), 6);
+    let serial: Vec<SimStats> =
+        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
+    assert_eq!(SweepRunner::new(&trace, grid).run_parallel(), serial);
 }
 
 fn dvi_scheme(index: u8) -> DviConfig {

@@ -29,20 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Lay it out and record its dynamic trace once: the same capture
     //    replays (bit-identically) on every machine configuration, so a
-    //    sweep pays the functional interpreter only once. Precompute the
-    //    trace's dependence graph in the same breath — producer links,
-    //    dead-value and call-depth facts are machine-independent, so one
-    //    build serves every sweep point (dispatch wires window entries
-    //    straight to producers instead of walking a rename table).
+    //    sweep pays the functional interpreter only once.
     let layout = compiled.program.layout()?;
-    let mut trace = CapturedTrace::record(&layout, 100_000);
-    trace.build_depgraph();
-    println!(
-        "captured {} records (+ dependence graph in {:.2} ms, {} KB total)",
-        trace.len(),
-        trace.summary().depgraph_build_nanos.unwrap_or(0) as f64 / 1.0e6,
-        trace.approx_bytes() / 1024,
-    );
+    let trace = CapturedTrace::record(&layout, 100_000);
+    println!("captured {} records ({} KB)", trace.len(), trace.approx_bytes() / 1024);
 
     // 4. Time it on the paper's machine, with and without DVI. `Simulator`
     //    is the blocking shorthand; underneath it drives a resumable
@@ -69,16 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(stepped, baseline, "a session is the same machine, bit for bit");
     println!("stepped the baseline machine for {cycles} cycles under caller control");
 
-    // 6. A design-space sweep the way the figure drivers run it: one
-    //    batched pass over the shared trace times a whole register-file
-    //    grid, sharing every trace-pure product across the members — the
-    //    decode table, the branch-prediction bitstream, the L1I outcomes,
-    //    the dependence graph built in step 3 and one decode-stage DVI
-    //    event stream for the grid's common DVI configuration.
+    // 6. A design-space sweep the way the figure drivers run it: every
+    //    member of a register-file grid replays the one capture through
+    //    its own cursor.
     let sizes = [34usize, 40, 48, 64, 80];
     let grid = sizes.map(|n| SimConfig::micro97().with_phys_regs(n).with_dvi(DviConfig::full()));
     let swept = SweepRunner::new(&trace, grid).run();
-    println!("register-file sweep ({} configs, one pass over the capture):", sizes.len());
+    println!("register-file sweep ({} configs, one capture):", sizes.len());
     for (n, stats) in sizes.iter().zip(&swept) {
         println!("  {n:>3} phys regs: IPC {:.3}", stats.ipc());
     }
